@@ -38,8 +38,6 @@ from .intervals import IntervalKind, interval
 from .products import ProductGraph, ProductKind, build, to_dot
 from .verify import CorpusSpec, run_suite, summarize, write_csv, write_jsonl
 
-log = logging.getLogger("wtoll")
-
 KIND_ALIASES = {
     "wt": IntervalKind.WEAKLY_TOLL,
     "swt": IntervalKind.SEMI_WEAKLY_TOLL,
@@ -87,16 +85,23 @@ def load_graph(source: str) -> Graph:
     return parse_graph6(text)
 
 
+def _build_product(name: str, g_spec: str, h_specs: list[str]) -> ProductGraph:
+    """The product named by its alias, from --g and --h factor specs."""
+    if not g_spec or not h_specs:
+        raise ValueError(f"{name} product needs --g and --h")
+    kind = PRODUCT_ALIASES[name]
+    g = load_graph(g_spec)
+    if kind is ProductKind.GENERALIZED_CORONA:
+        return build(kind, g, [load_graph(spec) for spec in h_specs])
+    if len(h_specs) != 1:
+        raise ValueError(f"{name} product takes exactly one --h factor")
+    return build(kind, g, load_graph(h_specs[0]))
+
+
 def _resolve_input(args) -> Graph | ProductGraph:
     """A plain graph via --graph, or a product built from factor specs."""
     if getattr(args, "product", None):
-        kind = PRODUCT_ALIASES[args.product]
-        g = load_graph(args.g)
-        if kind is ProductKind.GENERALIZED_CORONA:
-            return build(kind, g, [load_graph(spec) for spec in args.h])
-        if len(args.h) != 1:
-            raise ValueError(f"{args.product} product takes exactly one --h factor")
-        return build(kind, g, load_graph(args.h[0]))
+        return _build_product(args.product, args.g, args.h)
     if not args.graph:
         raise ValueError("provide --graph, or --product with --g/--h")
     return load_graph(args.graph)
@@ -173,14 +178,7 @@ def _write_graph_file(item: Graph | ProductGraph, path: str, fmt: str | None) ->
 
 
 def _cmd_product(args) -> int:
-    kind = PRODUCT_ALIASES[args.kind]
-    g = load_graph(args.g)
-    if kind is ProductKind.GENERALIZED_CORONA:
-        product = build(kind, g, [load_graph(spec) for spec in args.h])
-    else:
-        if len(args.h) != 1:
-            raise ValueError(f"{args.kind} product takes exactly one --h factor")
-        product = build(kind, g, load_graph(args.h[0]))
+    product = _build_product(args.kind, args.g, args.h)
     if args.out:
         _write_graph_file(product, args.out, args.format)
     if args.dot:

@@ -54,13 +54,11 @@ def _factor_obstacle(g: Graph, h: Graph) -> str | None:
     return None
 
 
-# -- lexicographic product ----------------------------------------------
-
-
-def lex_interval_same_layer(g: Graph, h: Graph, gv: int, h1: int, h2: int) -> Prediction:
-    """Interval between (gv, h1) and (gv, h2): everything except the layer
-    vertices outside the factor interval that see exactly one endpoint."""
-    rule = "lex-same-layer-interval"
+def _one_copy_interval(rule, g, h, gv, h1, h2, adjacent_reason, build, index) -> Prediction:
+    """Interval between two vertices of the copy of H at ``gv`` (a lex layer
+    or a corona copy): everything except the copy's vertices outside the
+    factor interval that see exactly one endpoint.  ``index(product, x)``
+    places vertex x of that copy in the product."""
     g._check_vertex(gv)
     h._check_vertex(h1)
     h._check_vertex(h2)
@@ -70,17 +68,27 @@ def lex_interval_same_layer(g: Graph, h: Graph, gv: int, h1: int, h2: int) -> Pr
     if h1 == h2:
         return Prediction.not_applicable("interval", rule, "endpoints coincide")
     if h.adjacent(h1, h2):
-        return Prediction.not_applicable("interval", rule, "endpoints adjacent in second factor")
-    product = lexicographic(g, h)
+        return Prediction.not_applicable("interval", rule, adjacent_reason)
+    product = build(g, h)
     inner = weakly_toll_interval(h, h1, h2)
     removed = 0
     for x in range(h.n):
-        if x in inner:
-            continue
-        if h.adjacent(x, h1) != h.adjacent(x, h2):
-            removed |= 1 << product.pair_index(gv, x)
+        if x not in inner and h.adjacent(x, h1) != h.adjacent(x, h2):
+            removed |= 1 << index(product, x)
     mask = (1 << product.graph.n) - 1 & ~removed
     return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
+
+
+# -- lexicographic product ----------------------------------------------
+
+
+def lex_interval_same_layer(g: Graph, h: Graph, gv: int, h1: int, h2: int) -> Prediction:
+    """Interval between (gv, h1) and (gv, h2): everything except the layer
+    vertices outside the factor interval that see exactly one endpoint."""
+    return _one_copy_interval(
+        "lex-same-layer-interval", g, h, gv, h1, h2, "endpoints adjacent in second factor",
+        lexicographic, lambda product, x: product.pair_index(gv, x),
+    )
 
 
 def lex_interval_cross_layer(
@@ -138,27 +146,10 @@ def lex_wth(g: Graph, h: Graph) -> Prediction:
 
 def corona_interval_same_copy(g: Graph, h: Graph, i: int, h1: int, h2: int) -> Prediction:
     """Interval between two non-adjacent vertices of one attached copy."""
-    rule = "corona-same-copy-interval"
-    g._check_vertex(i)
-    h._check_vertex(h1)
-    h._check_vertex(h2)
-    obstacle = _factor_obstacle(g, h)
-    if obstacle:
-        return Prediction.not_applicable("interval", rule, obstacle)
-    if h1 == h2:
-        return Prediction.not_applicable("interval", rule, "endpoints coincide")
-    if h.adjacent(h1, h2):
-        return Prediction.not_applicable("interval", rule, "endpoints adjacent in the copy")
-    product = corona(g, h)
-    inner = weakly_toll_interval(h, h1, h2)
-    removed = 0
-    for x in range(h.n):
-        if x in inner:
-            continue
-        if h.adjacent(x, h1) != h.adjacent(x, h2):
-            removed |= 1 << product.copy_index(i, x)
-    mask = (1 << product.graph.n) - 1 & ~removed
-    return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
+    return _one_copy_interval(
+        "corona-same-copy-interval", g, h, i, h1, h2, "endpoints adjacent in the copy",
+        corona, lambda product, x: product.copy_index(i, x),
+    )
 
 
 def corona_interval_cross_copies(g: Graph, h: Graph, i: int, k: int, j: int, l: int) -> Prediction:

@@ -84,35 +84,32 @@ def hull(graph: Graph, subset: VertexSet, kind: IntervalKind = IntervalKind.WEAK
         current = grown
 
 
-def wtn(graph: Graph) -> tuple[int, VertexSet]:
-    """Exact weakly toll number with the lexicographically least witness."""
-    require_connected(graph, "weakly toll number")
-    require_non_trivial(graph, "weakly toll number")
-    full = (1 << graph.n) - 1
-    pair = _pair_interval_masks(graph, IntervalKind.WEAKLY_TOLL)
-    for k in range(1, graph.n + 1):
-        for combo in itertools.combinations(range(graph.n), k):
+def least_covering_set(n: int, pair: dict[tuple[int, int], int]) -> tuple[int, VertexSet]:
+    """Least k with a k-set whose pairwise intervals cover all n vertices,
+    and the lexicographically least such set; ``pair[u, v]`` (u < v) holds
+    the interval masks."""
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
             mask = 0
             for i, u in enumerate(combo):
                 mask |= 1 << u
                 for v in combo[i + 1 :]:
                     mask |= pair[u, v]
             if mask == full:
-                return k, VertexSet.from_iterable(graph.n, combo)
+                return k, VertexSet.from_iterable(n, combo)
     raise AssertionError("the full vertex set always covers itself")
 
 
-def wth(graph: Graph) -> tuple[int, VertexSet]:
-    """Exact weakly toll hull number with the lexicographically least witness."""
-    require_connected(graph, "weakly toll hull number")
-    require_non_trivial(graph, "weakly toll hull number")
-    full = (1 << graph.n) - 1
-    pair = _pair_interval_masks(graph, IntervalKind.WEAKLY_TOLL)
+def least_hull_set(n: int, pair: dict[tuple[int, int], int]) -> tuple[int, VertexSet]:
+    """Least k with a k-set whose interval closure fixpoint is all n
+    vertices, and the lexicographically least such set."""
+    full = (1 << n) - 1
 
     def hull_mask(seed: int) -> int:
         current = seed
         while True:
-            members = [x for x in range(graph.n) if current >> x & 1]
+            members = [x for x in range(n) if current >> x & 1]
             grown = current
             for i, u in enumerate(members):
                 for v in members[i + 1 :]:
@@ -121,14 +118,28 @@ def wth(graph: Graph) -> tuple[int, VertexSet]:
                 return current
             current = grown
 
-    for k in range(1, graph.n + 1):
-        for combo in itertools.combinations(range(graph.n), k):
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
             seed = 0
             for u in combo:
                 seed |= 1 << u
             if hull_mask(seed) == full:
-                return k, VertexSet.from_iterable(graph.n, combo)
+                return k, VertexSet.from_iterable(n, combo)
     raise AssertionError("the full vertex set always covers itself")
+
+
+def wtn(graph: Graph) -> tuple[int, VertexSet]:
+    """Exact weakly toll number with the lexicographically least witness."""
+    require_connected(graph, "weakly toll number")
+    require_non_trivial(graph, "weakly toll number")
+    return least_covering_set(graph.n, _pair_interval_masks(graph, IntervalKind.WEAKLY_TOLL))
+
+
+def wth(graph: Graph) -> tuple[int, VertexSet]:
+    """Exact weakly toll hull number with the lexicographically least witness."""
+    require_connected(graph, "weakly toll hull number")
+    require_non_trivial(graph, "weakly toll hull number")
+    return least_hull_set(graph.n, _pair_interval_masks(graph, IntervalKind.WEAKLY_TOLL))
 
 
 def interval_report(graph: Graph, u: int, v: int, is_maximum: bool = False) -> IntervalReport:

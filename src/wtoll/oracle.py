@@ -21,10 +21,10 @@ the tests keep the two in agreement on tiny graphs.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
+from .convexity import least_covering_set, least_hull_set
 from .graphs import Graph, VertexSet, require_connected, require_non_trivial
 from .intervals import IntervalKind
 
@@ -315,6 +315,9 @@ def enumerated_interval(
 
 
 # -- exact minima by subset search --------------------------------------
+#
+# The subset searches are shared with ``convexity``; only the pair table
+# they search over is built here, from ``oracle_interval`` alone.
 
 
 def _pair_masks(graph: Graph, budget: WalkBudget | int | None) -> dict[tuple[int, int], int]:
@@ -329,44 +332,11 @@ def oracle_wtn(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[in
     """Exact weakly toll number with the lexicographically least witness."""
     require_connected(graph, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
-    full = (1 << graph.n) - 1
-    pair = _pair_masks(graph, budget)
-    for k in range(1, graph.n + 1):
-        for combo in itertools.combinations(range(graph.n), k):
-            mask = 0
-            for i, u in enumerate(combo):
-                mask |= 1 << u
-                for v in combo[i + 1 :]:
-                    mask |= pair[u, v]
-            if mask == full:
-                return k, VertexSet.from_iterable(graph.n, combo)
-    raise AssertionError("the full vertex set always covers itself")
+    return least_covering_set(graph.n, _pair_masks(graph, budget))
 
 
 def oracle_wth(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[int, VertexSet]:
     """Exact weakly toll hull number with the lexicographically least witness."""
     require_connected(graph, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
-    full = (1 << graph.n) - 1
-    pair = _pair_masks(graph, budget)
-
-    def hull_mask(start: int) -> int:
-        current = start
-        while True:
-            grown = current
-            members = [x for x in range(graph.n) if current >> x & 1]
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    grown |= pair[u, v]
-            if grown == current:
-                return current
-            current = grown
-
-    for k in range(1, graph.n + 1):
-        for combo in itertools.combinations(range(graph.n), k):
-            seed = 0
-            for u in combo:
-                seed |= 1 << u
-            if hull_mask(seed) == full:
-                return k, VertexSet.from_iterable(graph.n, combo)
-    raise AssertionError("the full vertex set always covers itself")
+    return least_hull_set(graph.n, _pair_masks(graph, budget))

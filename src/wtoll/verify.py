@@ -1,33 +1,32 @@
 """Corpus-driven verification: every closed-form rule against the engines,
 and every engine against the walk oracle.
 
-A check takes a :class:`CorpusSpec` and returns :class:`Verdict` records;
-identical specs (seeds included) produce byte-identical reports.  Mismatches
-never abort a run: the suite always completes and reports everything it
-found.  Timing is kept out of the machine-readable reports so they stay
-reproducible; it is available on the in-memory verdicts and in the printed
-summary.
+A check is a generator ``rows(spec, rng)`` yielding one row per instance,
+``(instance, predicted, observed, ok)`` plus an optional note; ``ok`` is a
+bool, or a :class:`Skip` naming the hypothesis the instance fails.  One
+runner turns rows into :class:`Verdict` records: it times each row from
+resuming the generator (so the corpus build counts in the first row that
+needs it), maps ``ok`` to a status and logs each check's start and finish
+to the ``wtoll.verify`` logger at INFO.
+
+Identical specs (seeds included) produce byte-identical reports, and
+mismatches never abort a run.  Timings stay out of the reports; they are on
+the in-memory verdicts and in the printed summary.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import logging
 import random
 import time
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import closed_forms
-from .convexity import (
-    check_max_interval_decomposition,
-    check_wtn_exceeds_two_criterion,
-    hull,
-    is_convex,
-    wth,
-    wtn,
-)
+from . import closed_forms, convexity, products
+from .convexity import hull, is_convex, wth, wtn
 from .graphs import (
     Graph,
     VertexSet,
@@ -36,15 +35,11 @@ from .graphs import (
     random_connected_graph,
     two_clique_bridge,
 )
-from .intervals import (
-    IntervalKind,
-    interval,
-    semi_weakly_toll_interval,
-    toll_interval,
-    weakly_toll_interval,
-)
+from .intervals import IntervalKind, interval, weakly_toll_interval
 from .oracle import oracle_interval
 from .products import cartesian, corona, generalized_corona, lexicographic, strong
+
+log = logging.getLogger("wtoll.verify")
 
 
 class InfeasibleCorpusError(ValueError):
@@ -86,15 +81,20 @@ class CorpusSpec:
             raise InfeasibleCorpusError("oracle cross-checks are limited to 10-vertex graphs")
         if self.factor_max_n > 7:
             raise InfeasibleCorpusError("factor sampling is limited to 7-vertex graphs")
+        if self.factor_max_n < 3:
+            # every connected graph on one or two vertices is complete
+            raise InfeasibleCorpusError("factor sampling needs factor_max_n >= 3")
+        if not 1 <= self.factor_min_n <= self.factor_max_n:
+            raise InfeasibleCorpusError("factor_min_n must lie in 1..factor_max_n")
         if self.budget_extra < 0:
             raise InfeasibleCorpusError("budget extra must be non-negative")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusSpec":
         """Flat ``key = value`` text; '#' starts a comment; tuples are
-        comma-separated."""
+        comma-separated.  Each value takes the type of its field's default."""
         values = {}
-        names = {f.name: f for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
         for raw in Path(path).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -102,18 +102,17 @@ class CorpusSpec:
             if "=" not in line:
                 raise ValueError(f"malformed config line {raw!r}")
             key, _, text = (part.strip() for part in line.partition("="))
-            if key not in names:
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "edge_probabilities":
-                values[key] = tuple(float(tok) for tok in text.split(","))
-            elif key == "random_graph_sizes":
-                values[key] = tuple(int(tok) for tok in text.split(","))
-            else:
-                values[key] = int(text)
+            default = defaults[key]
+            try:
+                if isinstance(default, tuple):
+                    values[key] = tuple(type(default[0])(tok) for tok in text.split(","))
+                else:
+                    values[key] = type(default)(text)
+            except ValueError:
+                raise ValueError(f"bad value for config key {key!r}: {text!r}") from None
         return cls(**values)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -142,12 +141,72 @@ class Verdict:
         return json.dumps(payload, sort_keys=True)
 
 
+@dataclass(frozen=True)
+class Skip:
+    """Stands in a row's ``ok`` place when the instance fails a hypothesis."""
+
+    reason: str
+
+
 def _vs(vertex_set: VertexSet) -> list[int]:
     return sorted(vertex_set)
 
 
 def _rng(spec: CorpusSpec, check_id: str) -> random.Random:
     return random.Random(spec.seed * 0x9E3779B1 + zlib.crc32(check_id.encode()))
+
+
+# -- the runner and the registry ----------------------------------------------
+
+CHECKS: dict = {}  # check id -> callable spec -> list[Verdict]
+SUITES: dict[str, list[str]] = {"all": []}
+
+
+def _run(check_id: str, rows, spec: CorpusSpec) -> list[Verdict]:
+    log.info("check %s: start", check_id)
+    verdicts = []
+    began = start = time.perf_counter()
+    for instance, predicted, observed, ok, *note in rows(spec, _rng(spec, check_id)):
+        now = time.perf_counter()
+        skip = isinstance(ok, Skip)
+        status = "skipped" if skip else "match" if ok else "mismatch"
+        reason = ok.reason if skip else ""
+        verdict = Verdict(check_id, instance, predicted, observed, status, reason, *note)
+        verdict.runtime = now - start
+        verdicts.append(verdict)
+        start = now
+    elapsed = time.perf_counter() - began
+    log.info("check %s: finish, %d verdicts in %.2fs", check_id, len(verdicts), elapsed)
+    return verdicts
+
+
+def _check(suite: str, check_id: str):
+    """Register a rows generator under ``check_id`` in ``suite`` and "all"."""
+
+    def register(rows):
+        def run(spec: CorpusSpec) -> list[Verdict]:
+            return _run(check_id, rows, spec)
+
+        CHECKS[check_id] = run
+        SUITES["all"].append(check_id)
+        SUITES.setdefault(suite, []).append(check_id)
+        return rows
+
+    return register
+
+
+def _compare(instance: dict, prediction, observe, note: str = "") -> tuple:
+    """Row comparing a closed-form prediction with ``observe()``, which is
+    called only when the prediction applies."""
+    if not prediction.applicable:
+        return instance, None, None, Skip(prediction.reason), note
+    observed = observe()
+    if prediction.target == "interval":
+        predicted = prediction.vertex_set
+        return instance, _vs(predicted), _vs(observed), predicted == observed, note
+    if prediction.target == "wtn-upper-bound":
+        return instance, f"<= {prediction.value}", observed, observed <= prediction.value, note
+    return instance, prediction.value, observed, observed == prediction.value, note
 
 
 # -- exhaustive connected graphs, one per isomorphism class ----------------
@@ -233,383 +292,197 @@ def _sample_non_adjacent_pair(rng: random.Random, g: Graph) -> tuple[int, int]:
     return rng.choice(pairs)
 
 
+def _factors(g: Graph, h: Graph) -> dict:
+    return {"g": encode_graph6(g), "h": encode_graph6(h)}
+
+
 # -- engine vs oracle --------------------------------------------------------
 
-_ENGINES = {
-    IntervalKind.WEAKLY_TOLL: weakly_toll_interval,
-    IntervalKind.SEMI_WEAKLY_TOLL: semi_weakly_toll_interval,
-    IntervalKind.TOLL: toll_interval,
-}
 
+def _oracle_rows(kind: IntervalKind):
+    def oracle_failures(spec, g, pairs):
+        for u, v in pairs:
+            fast = interval(g, u, v, kind)
+            slow = oracle_interval(g, u, v, kind, 2 * g.n + spec.budget_extra)
+            stable = oracle_interval(g, u, v, kind, 2 * g.n)
+            if fast != slow or stable != slow:
+                yield {"pair": [u, v], "engine": _vs(fast), "oracle": _vs(slow),
+                       "oracle_at_2n": _vs(stable)}
 
-def _make_interval_oracle_check(check_id: str, kind: IntervalKind):
-    def run(spec: CorpusSpec) -> list[Verdict]:
-        engine = _ENGINES[kind]
-        verdicts = []
+    def rows(spec, rng):
         for descriptor, g in interval_corpus(spec):
-            start = time.perf_counter()
             pairs = (
                 [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
                 if kind is IntervalKind.SEMI_WEAKLY_TOLL
                 else [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
             )
-            failure = None
-            for u, v in pairs:
-                fast = engine(g, u, v)
-                slow = oracle_interval(g, u, v, kind, 2 * g.n + spec.budget_extra)
-                stable = oracle_interval(g, u, v, kind, 2 * g.n)
-                if fast != slow or stable != slow:
-                    failure = {
-                        "pair": [u, v],
-                        "engine": _vs(fast),
-                        "oracle": _vs(slow),
-                        "oracle_at_2n": _vs(stable),
-                    }
-                    break
-            verdicts.append(
-                Verdict(
-                    check=check_id,
-                    instance={**descriptor, "pairs": len(pairs)},
-                    predicted="engine equals stabilised oracle on every pair",
-                    observed="agreed" if failure is None else failure,
-                    status="match" if failure is None else "mismatch",
-                    runtime=time.perf_counter() - start,
-                )
-            )
-        return verdicts
+            failure = next(oracle_failures(spec, g, pairs), None)
+            claim = "engine equals stabilised oracle on every pair"
+            yield {**descriptor, "pairs": len(pairs)}, claim, failure or "agreed", not failure
 
-    return run
+    return rows
+
+
+_check("intervals", "wt-interval-oracle")(_oracle_rows(IntervalKind.WEAKLY_TOLL))
+_check("intervals", "swt-interval-oracle")(_oracle_rows(IntervalKind.SEMI_WEAKLY_TOLL))
+_check("intervals", "toll-interval-oracle")(_oracle_rows(IntervalKind.TOLL))
 
 
 # -- structural lemma checks on the corpus ----------------------------------
 
 
-def _check_neighbor_extension(spec: CorpusSpec) -> list[Verdict]:
-    verdicts = []
-    for descriptor, g in interval_corpus(spec):
-        start = time.perf_counter()
-        adj = g.adjacency_masks()
-        failure = None
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.adjacent(u, v):
-                    continue
-                wt = weakly_toll_interval(g, u, v)
-                interior = wt.mask & ~(1 << u | 1 << v)
-                shell = adj[u] | adj[v] | 1 << u | 1 << v
-                for x in range(g.n):
-                    if shell >> x & 1 or x in wt:
-                        continue
-                    if adj[x] & interior:
-                        failure = {"pair": [u, v], "vertex": x, "interval": _vs(wt)}
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-        verdicts.append(
-            Verdict(
-                check="neighbor-extension",
-                instance=descriptor,
-                predicted="interval absorbs outside vertices touching its interior",
-                observed="holds" if failure is None else failure,
-                status="match" if failure is None else "mismatch",
-                runtime=time.perf_counter() - start,
-            )
-        )
-    return verdicts
-
-
-def _make_corpus_predicate_check(check_id: str, predicate, claim: str):
-    def run(spec: CorpusSpec) -> list[Verdict]:
-        verdicts = []
-        for descriptor, g in interval_corpus(spec):
-            start = time.perf_counter()
-            if g.is_complete():
-                verdicts.append(
-                    Verdict(
-                        check=check_id,
-                        instance=descriptor,
-                        predicted=claim,
-                        observed=None,
-                        status="skipped",
-                        reason="complete graph: no non-adjacent pairs",
-                        runtime=time.perf_counter() - start,
-                    )
-                )
+def _extension_failures(g: Graph):
+    adj = g.adjacency_masks()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.adjacent(u, v):
                 continue
-            holds = predicate(g)
-            verdicts.append(
-                Verdict(
-                    check=check_id,
-                    instance=descriptor,
-                    predicted=claim,
-                    observed="holds" if holds else "violated",
-                    status="match" if holds else "mismatch",
-                    runtime=time.perf_counter() - start,
-                )
-            )
-        return verdicts
+            wt = weakly_toll_interval(g, u, v)
+            interior = wt.mask & ~(1 << u | 1 << v)
+            shell = adj[u] | adj[v] | 1 << u | 1 << v
+            for x in range(g.n):
+                if not (shell >> x & 1 or x in wt) and adj[x] & interior:
+                    yield {"pair": [u, v], "vertex": x, "interval": _vs(wt)}
 
-    return run
+
+@_check("structure", "neighbor-extension")
+def _neighbor_extension(spec, rng):
+    claim = "interval absorbs outside vertices touching its interior"
+    for descriptor, g in interval_corpus(spec):
+        failure = next(_extension_failures(g), None)
+        yield descriptor, claim, failure or "holds", not failure
+
+
+def _predicate_rows(predicate: str, claim: str):
+    """Corpus rows for a ``convexity`` predicate, looked up by name."""
+
+    def rows(spec, rng):
+        holds_on = getattr(convexity, predicate)
+        for descriptor, g in interval_corpus(spec):
+            if g.is_complete():
+                yield descriptor, claim, None, Skip("complete graph: no non-adjacent pairs")
+                continue
+            holds = holds_on(g)
+            yield descriptor, claim, "holds" if holds else "violated", holds
+
+    return rows
+
+
+_check("structure", "max-interval-decomposition")(
+    _predicate_rows(
+        "check_max_interval_decomposition",
+        "outside of a maximum interval splits into the two missed neighbourhoods",
+    )
+)
+_check("structure", "wtn-exceeds-two-criterion")(
+    _predicate_rows(
+        "check_wtn_exceeds_two_criterion",
+        "wtn > 2 iff every maximum pair misses a neighbour",
+    )
+)
 
 
 # -- closed forms vs product engine ------------------------------------------
 
 
-def _interval_verdict(check_id, instance, prediction, product, u, v, start, note=""):
-    if not prediction.applicable:
-        return Verdict(
-            check=check_id,
-            instance=instance,
-            predicted=None,
-            observed=None,
-            status="skipped",
-            reason=prediction.reason,
-            note=note,
-            runtime=time.perf_counter() - start,
-        )
-    engine = weakly_toll_interval(product.graph, u, v)
-    match = prediction.vertex_set == engine
-    return Verdict(
-        check=check_id,
-        instance=instance,
-        predicted=_vs(prediction.vertex_set),
-        observed=_vs(engine),
-        status="match" if match else "mismatch",
-        note=note,
-        runtime=time.perf_counter() - start,
-    )
+def _number_rows(family: str, number: str):
+    """``closed_forms.<family>_<number>`` against ``number`` (wtn or wth)
+    of the lex or corona product; two second factors are pinned."""
+
+    def rows(spec, rng):
+        predict = getattr(closed_forms, f"{family}_{number}")
+        build = getattr(products, "lexicographic" if family == "lex" else "corona")
+        observe = getattr(convexity, number)
+        pairs = [(_sample_factor(rng, spec), h) for h in (path_graph(3), two_clique_bridge(3))]
+        while len(pairs) < getattr(spec, f"{family}_pair_count"):
+            pairs.append((_sample_factor(rng, spec), _sample_factor(rng, spec)))
+        for g, h in pairs:
+            instance = _factors(g, h)
+            if number == "wtn":
+                instance["wtn_h"] = wtn(h)[0]
+            yield _compare(instance, predict(g, h), lambda: observe(build(g, h).graph)[0])
+
+    return rows
 
 
-def _check_lex_same_layer(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "lex-same-layer-interval")
-    verdicts = []
+@_check("lexicographic", "lex-same-layer-interval")
+def _lex_same_layer(spec, rng):
     for _ in range(spec.lex_interval_instances):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         gv = rng.randrange(g.n)
         h1, h2 = _sample_non_adjacent_pair(rng, h)
         product = lexicographic(g, h)
         prediction = closed_forms.lex_interval_same_layer(g, h, gv, h1, h2)
-        instance = {
-            "g": encode_graph6(g),
-            "h": encode_graph6(h),
-            "layer": gv,
-            "pair": [h1, h2],
-        }
-        verdicts.append(
-            _interval_verdict(
-                "lex-same-layer-interval",
-                instance,
-                prediction,
-                product,
-                product.pair_index(gv, h1),
-                product.pair_index(gv, h2),
-                start,
-            )
-        )
-    return verdicts
+        a, b = product.pair_index(gv, h1), product.pair_index(gv, h2)
+        instance = {**_factors(g, h), "layer": gv, "pair": [h1, h2]}
+        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
 
 
-def _check_lex_cross_layer(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "lex-cross-layer-interval")
-    verdicts = []
+@_check("lexicographic", "lex-cross-layer-interval")
+def _lex_cross_layer(spec, rng):
     for _ in range(spec.lex_interval_instances):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         g1, g2 = _sample_non_adjacent_pair(rng, g)
         h1, h2 = _sample_non_adjacent_pair(rng, h)
         if rng.random() < 0.5:
             h1, h2 = h2, h1
         product = lexicographic(g, h)
         prediction = closed_forms.lex_interval_cross_layer(g, h, g1, h1, g2, h2)
-        instance = {
-            "g": encode_graph6(g),
-            "h": encode_graph6(h),
-            "ends": [[g1, h1], [g2, h2]],
-        }
-        verdicts.append(
-            _interval_verdict(
-                "lex-cross-layer-interval",
-                instance,
-                prediction,
-                product,
-                product.pair_index(g1, h1),
-                product.pair_index(g2, h2),
-                start,
-            )
-        )
-    return verdicts
+        a, b = product.pair_index(g1, h1), product.pair_index(g2, h2)
+        instance = {**_factors(g, h), "ends": [[g1, h1], [g2, h2]]}
+        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
 
 
-def _number_verdict(check_id, instance, prediction, observed_value, start, note=""):
-    if not prediction.applicable:
-        return Verdict(
-            check=check_id,
-            instance=instance,
-            predicted=None,
-            observed=None,
-            status="skipped",
-            reason=prediction.reason,
-            note=note,
-            runtime=time.perf_counter() - start,
-        )
-    if prediction.target == "wtn-upper-bound":
-        match = observed_value <= prediction.value
-        predicted = f"<= {prediction.value}"
-    else:
-        match = observed_value == prediction.value
-        predicted = prediction.value
-    return Verdict(
-        check=check_id,
-        instance=instance,
-        predicted=predicted,
-        observed=observed_value,
-        status="match" if match else "mismatch",
-        note=note,
-        runtime=time.perf_counter() - start,
-    )
+_check("lexicographic", "lex-wtn-dichotomy")(_number_rows("lex", "wtn"))
+_check("lexicographic", "lex-hull-number")(_number_rows("lex", "wth"))
 
 
-def _product_pairs(rng, spec, count, forced_second=()):
-    """Factor pairs for theorem checks; a few second factors can be pinned."""
-    pairs = []
-    for h in forced_second:
-        pairs.append((_sample_factor(rng, spec), h))
-    while len(pairs) < count:
-        pairs.append((_sample_factor(rng, spec), _sample_factor(rng, spec)))
-    return pairs
-
-
-def _check_lex_wtn(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "lex-wtn-dichotomy")
-    verdicts = []
-    forced = (path_graph(3), two_clique_bridge(3))
-    for g, h in _product_pairs(rng, spec, spec.lex_pair_count, forced):
-        start = time.perf_counter()
-        prediction = closed_forms.lex_wtn(g, h)
-        observed = wtn(lexicographic(g, h).graph)[0]
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h), "wtn_h": wtn(h)[0]}
-        verdicts.append(
-            _number_verdict("lex-wtn-dichotomy", instance, prediction, observed, start)
-        )
-    return verdicts
-
-
-def _check_lex_wth(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "lex-hull-number")
-    verdicts = []
-    forced = (path_graph(3), two_clique_bridge(3))
-    for g, h in _product_pairs(rng, spec, spec.lex_pair_count, forced):
-        start = time.perf_counter()
-        prediction = closed_forms.lex_wth(g, h)
-        observed = wth(lexicographic(g, h).graph)[0]
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h)}
-        verdicts.append(
-            _number_verdict("lex-hull-number", instance, prediction, observed, start)
-        )
-    return verdicts
-
-
-def _check_corona_same_copy(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "corona-same-copy-interval")
-    verdicts = []
+@_check("corona", "corona-same-copy-interval")
+def _corona_same_copy(spec, rng):
     for _ in range(spec.corona_interval_instances):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         i = rng.randrange(g.n)
         h1, h2 = _sample_non_adjacent_pair(rng, h)
         product = corona(g, h)
         prediction = closed_forms.corona_interval_same_copy(g, h, i, h1, h2)
-        instance = {
-            "g": encode_graph6(g),
-            "h": encode_graph6(h),
-            "copy": i,
-            "pair": [h1, h2],
-        }
-        verdicts.append(
-            _interval_verdict(
-                "corona-same-copy-interval",
-                instance,
-                prediction,
-                product,
-                product.copy_index(i, h1),
-                product.copy_index(i, h2),
-                start,
-            )
-        )
-    return verdicts
+        a, b = product.copy_index(i, h1), product.copy_index(i, h2)
+        instance = {**_factors(g, h), "copy": i, "pair": [h1, h2]}
+        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
 
 
-def _check_corona_cross_copies(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "corona-cross-copy-interval")
-    verdicts = []
+@_check("corona", "corona-cross-copy-interval")
+def _corona_cross_copies(spec, rng):
     for _ in range(spec.corona_interval_instances):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         i, j = rng.sample(range(g.n), 2)
         k = rng.randrange(h.n)
         l = rng.randrange(h.n)
         product = corona(g, h)
         prediction = closed_forms.corona_interval_cross_copies(g, h, i, k, j, l)
-        instance = {
-            "g": encode_graph6(g),
-            "h": encode_graph6(h),
-            "ends": [[i, k], [j, l]],
-        }
-        verdicts.append(
-            _interval_verdict(
-                "corona-cross-copy-interval",
-                instance,
-                prediction,
-                product,
-                product.copy_index(i, k),
-                product.copy_index(j, l),
-                start,
-            )
-        )
-    return verdicts
+        a, b = product.copy_index(i, k), product.copy_index(j, l)
+        instance = {**_factors(g, h), "ends": [[i, k], [j, l]]}
+        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
 
 
-def _check_corona_base_pair(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "corona-base-pair-interval")
-    verdicts = []
+@_check("corona", "corona-base-pair-interval")
+def _corona_base_pair(spec, rng):
     for _ in range(spec.corona_interval_instances):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         i, j = rng.sample(range(g.n), 2)
         product = corona(g, h)
         prediction = closed_forms.corona_interval_base_pair(g, h, i, j)
         note = "adjacent-base-pair" if g.adjacent(i, j) else ""
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h), "bases": [i, j]}
-        verdicts.append(
-            _interval_verdict(
-                "corona-base-pair-interval",
-                instance,
-                prediction,
-                product,
-                product.base_index(i),
-                product.base_index(j),
-                start,
-                note=note,
-            )
+        a, b = product.base_index(i), product.base_index(j)
+        instance = {**_factors(g, h), "bases": [i, j]}
+        yield _compare(
+            instance, prediction, lambda: weakly_toll_interval(product.graph, a, b), note
         )
-    return verdicts
 
 
-def _check_corona_mixed(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "corona-mixed-pair-interval")
-    verdicts = []
+@_check("corona", "corona-mixed-pair-interval")
+def _corona_mixed(spec, rng):
     for counter in range(spec.corona_interval_instances):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         if counter % 5 == 0:
             i = j = rng.randrange(g.n)
         else:
@@ -617,91 +490,35 @@ def _check_corona_mixed(spec: CorpusSpec) -> list[Verdict]:
         k = rng.randrange(h.n)
         product = corona(g, h)
         prediction = closed_forms.corona_interval_mixed(g, h, i, j, k)
-        if i == j:
-            note = "same-base"
-        elif g.adjacent(i, j):
-            note = "adjacent-base-pair"
-        else:
-            note = ""
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h), "base": i, "copy": [j, k]}
-        verdicts.append(
-            _interval_verdict(
-                "corona-mixed-pair-interval",
-                instance,
-                prediction,
-                product,
-                product.base_index(i),
-                product.copy_index(j, k),
-                start,
-                note=note,
-            )
+        note = "same-base" if i == j else "adjacent-base-pair" if g.adjacent(i, j) else ""
+        a, b = product.base_index(i), product.copy_index(j, k)
+        instance = {**_factors(g, h), "base": i, "copy": [j, k]}
+        yield _compare(
+            instance, prediction, lambda: weakly_toll_interval(product.graph, a, b), note
         )
-    return verdicts
 
 
-def _check_corona_base_restriction(spec: CorpusSpec) -> list[Verdict]:
+@_check("corona", "corona-base-restriction")
+def _corona_base_restriction(spec, rng):
     """The base-pair interval restricted to base vertices equals the factor
     interval (membership transfers both ways for non-adjacent base pairs)."""
-    rng = _rng(spec, "corona-base-restriction")
-    verdicts = []
     for _ in range(spec.corona_interval_instances):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         i, j = _sample_non_adjacent_pair(rng, g)
         product = corona(g, h)
-        inside = weakly_toll_interval(g, i, j)
-        product_side = weakly_toll_interval(product.graph, product.base_index(i), product.base_index(j))
-        restricted = sorted(
-            x for x in range(g.n) if product.base_index(x) in product_side
-        )
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h), "bases": [i, j]}
-        match = restricted == _vs(inside)
-        verdicts.append(
-            Verdict(
-                check="corona-base-restriction",
-                instance=instance,
-                predicted=_vs(inside),
-                observed=restricted,
-                status="match" if match else "mismatch",
-                runtime=time.perf_counter() - start,
-            )
-        )
-    return verdicts
+        inside = _vs(weakly_toll_interval(g, i, j))
+        a, b = product.base_index(i), product.base_index(j)
+        product_side = weakly_toll_interval(product.graph, a, b)
+        restricted = sorted(x for x in range(g.n) if product.base_index(x) in product_side)
+        yield {**_factors(g, h), "bases": [i, j]}, inside, restricted, restricted == inside
 
 
-def _check_corona_wtn(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "corona-wtn-dichotomy")
-    verdicts = []
-    forced = (path_graph(3), two_clique_bridge(3))
-    for g, h in _product_pairs(rng, spec, spec.corona_pair_count, forced):
-        start = time.perf_counter()
-        prediction = closed_forms.corona_wtn(g, h)
-        observed = wtn(corona(g, h).graph)[0]
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h), "wtn_h": wtn(h)[0]}
-        verdicts.append(
-            _number_verdict("corona-wtn-dichotomy", instance, prediction, observed, start)
-        )
-    return verdicts
+_check("corona", "corona-wtn-dichotomy")(_number_rows("corona", "wtn"))
+_check("corona", "corona-hull-number")(_number_rows("corona", "wth"))
 
 
-def _check_corona_wth(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "corona-hull-number")
-    verdicts = []
-    forced = (path_graph(3), two_clique_bridge(3))
-    for g, h in _product_pairs(rng, spec, spec.corona_pair_count, forced):
-        start = time.perf_counter()
-        prediction = closed_forms.corona_wth(g, h)
-        observed = wth(corona(g, h).graph)[0]
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h)}
-        verdicts.append(
-            _number_verdict("corona-hull-number", instance, prediction, observed, start)
-        )
-    return verdicts
-
-
-def _check_generalized_corona(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "generalized-corona-wtn")
+@_check("corona", "generalized-corona-wtn")
+def _generalized_corona(spec, rng):
     pool = [
         lambda: path_graph(rng.randint(3, 4)),
         lambda: two_clique_bridge(2),
@@ -709,9 +526,7 @@ def _check_generalized_corona(spec: CorpusSpec) -> list[Verdict]:
         lambda: Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)]),
         lambda: _sample_factor(rng, spec),
     ]
-    verdicts = []
     for counter in range(spec.generalized_corona_instances):
-        start = time.perf_counter()
         g = _sample_factor(rng, spec)
         if counter == 0:
             # pin one instance on the upper-bound branch: the only
@@ -724,48 +539,26 @@ def _check_generalized_corona(spec: CorpusSpec) -> list[Verdict]:
             if all(c.is_complete() for c in copies):
                 copies[0] = path_graph(3)
         prediction = closed_forms.generalized_corona_wtn(g, copies)
-        observed = wtn(generalized_corona(g, copies).graph)[0]
-        instance = {
-            "g": encode_graph6(g),
-            "copies": [encode_graph6(c) for c in copies],
-        }
-        verdicts.append(
-            _number_verdict("generalized-corona-wtn", instance, prediction, observed, start)
-        )
-    return verdicts
+        instance = {"g": encode_graph6(g), "copies": [encode_graph6(c) for c in copies]}
+        yield _compare(instance, prediction, lambda: wtn(generalized_corona(g, copies).graph)[0])
 
 
-def _check_cartesian_wtn(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "cartesian-wtn")
-    verdicts = []
+@_check("cartesian-strong", "cartesian-wtn")
+def _cartesian_wtn(spec, rng):
     for counter in range(spec.cartesian_pair_count):
-        start = time.perf_counter()
         # the claim also covers complete factors, so allow them sometimes
         g = _sample_factor(rng, spec, allow_complete=counter % 4 == 0)
         h = _sample_factor(rng, spec, allow_complete=counter % 4 == 1)
         prediction = closed_forms.cartesian_wtn(g, h)
-        observed = wtn(cartesian(g, h).graph)[0]
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h)}
-        verdicts.append(
-            _number_verdict("cartesian-wtn", instance, prediction, observed, start)
-        )
-    return verdicts
+        yield _compare(_factors(g, h), prediction, lambda: wtn(cartesian(g, h).graph)[0])
 
 
-def _check_strong_wtn(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "strong-wtn-bound")
-    verdicts = []
+@_check("cartesian-strong", "strong-wtn-bound")
+def _strong_wtn(spec, rng):
     for _ in range(spec.strong_pair_count):
-        start = time.perf_counter()
-        g = _sample_factor(rng, spec)
-        h = _sample_factor(rng, spec)
+        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         prediction = closed_forms.strong_wtn_bound(g, h)
-        observed = wtn(strong(g, h).graph)[0]
-        instance = {"g": encode_graph6(g), "h": encode_graph6(h)}
-        verdicts.append(
-            _number_verdict("strong-wtn-bound", instance, prediction, observed, start)
-        )
-    return verdicts
+        yield _compare(_factors(g, h), prediction, lambda: wtn(strong(g, h).graph)[0])
 
 
 # -- convexity properties ----------------------------------------------------
@@ -778,44 +571,33 @@ _CHAIN = (
 )
 
 
-def _check_convexity_chain(spec: CorpusSpec) -> list[Verdict]:
-    verdicts = []
+def _chain_failures(g: Graph):
+    for bits in range(1 << g.n):
+        subset = VertexSet(g.n, bits)
+        flags = [is_convex(g, subset, kind) for kind in _CHAIN]
+        for pos in range(len(flags) - 1):
+            if flags[pos] and not flags[pos + 1]:
+                yield {
+                    "subset": _vs(subset),
+                    "convex_under": _CHAIN[pos].value,
+                    "not_convex_under": _CHAIN[pos + 1].value,
+                }
+
+
+@_check("convexity", "convexity-chain")
+def _convexity_chain(spec, rng):
+    claim = "weakly-toll => toll => monophonic => geodesic convexity"
     for n in range(2, spec.convexity_chain_max_n + 1):
         for g in connected_graphs(n):
-            start = time.perf_counter()
-            failure = None
-            for bits in range(1 << g.n):
-                subset = VertexSet(g.n, bits)
-                flags = [is_convex(g, subset, kind) for kind in _CHAIN]
-                for pos in range(len(flags) - 1):
-                    if flags[pos] and not flags[pos + 1]:
-                        failure = {
-                            "subset": _vs(subset),
-                            "convex_under": _CHAIN[pos].value,
-                            "not_convex_under": _CHAIN[pos + 1].value,
-                        }
-                        break
-                if failure:
-                    break
-            verdicts.append(
-                Verdict(
-                    check="convexity-chain",
-                    instance={"graph6": encode_graph6(g), "subsets": 1 << g.n},
-                    predicted="weakly-toll => toll => monophonic => geodesic convexity",
-                    observed="holds" if failure is None else failure,
-                    status="match" if failure is None else "mismatch",
-                    runtime=time.perf_counter() - start,
-                )
-            )
-    return verdicts
+            failure = next(_chain_failures(g), None)
+            instance = {"graph6": encode_graph6(g), "subsets": 1 << g.n}
+            yield instance, claim, failure or "holds", not failure
 
 
-def _check_hull_axioms(spec: CorpusSpec) -> list[Verdict]:
-    rng = _rng(spec, "hull-closure-axioms")
+@_check("convexity", "hull-closure-axioms")
+def _hull_axioms(spec, rng):
     kinds = list(IntervalKind)
-    verdicts = []
     for counter in range(spec.hull_axiom_instances):
-        start = time.perf_counter()
         n = rng.randint(4, 8)
         g = random_connected_graph(n, rng.choice((0.3, 0.5)), rng.randrange(1 << 30))
         kind = kinds[counter % len(kinds)]
@@ -823,122 +605,28 @@ def _check_hull_axioms(spec: CorpusSpec) -> list[Verdict]:
         extra = VertexSet.from_iterable(n, rng.sample(range(n), rng.randint(1, n - 1)))
         big = small | extra
         closed = hull(g, small, kind)
-        extensive = small <= closed
-        idempotent = hull(g, closed, kind) == closed
-        monotone = closed <= hull(g, big, kind)
-        ok = extensive and idempotent and monotone
-        verdicts.append(
-            Verdict(
-                check="hull-closure-axioms",
-                instance={
-                    "graph6": encode_graph6(g),
-                    "kind": kind.value,
-                    "seed_set": _vs(small),
-                    "superset": _vs(big),
-                },
-                predicted="extensive, idempotent, monotone",
-                observed="holds"
-                if ok
-                else {
-                    "extensive": extensive,
-                    "idempotent": idempotent,
-                    "monotone": monotone,
-                },
-                status="match" if ok else "mismatch",
-                runtime=time.perf_counter() - start,
-            )
-        )
-    return verdicts
+        axioms = {
+            "extensive": small <= closed,
+            "idempotent": hull(g, closed, kind) == closed,
+            "monotone": closed <= hull(g, big, kind),
+        }
+        ok = all(axioms.values())
+        instance = {
+            "graph6": encode_graph6(g),
+            "kind": kind.value,
+            "seed_set": _vs(small),
+            "superset": _vs(big),
+        }
+        yield instance, "extensive, idempotent, monotone", "holds" if ok else axioms, ok
 
 
-def _check_wth_le_wtn(spec: CorpusSpec) -> list[Verdict]:
-    verdicts = []
+@_check("convexity", "wth-le-wtn")
+def _wth_le_wtn(spec, rng):
     for descriptor, g in interval_corpus(spec):
-        start = time.perf_counter()
         interval_number = wtn(g)[0]
         hull_number = wth(g)[0]
-        verdicts.append(
-            Verdict(
-                check="wth-le-wtn",
-                instance=descriptor,
-                predicted=f"wth <= wtn = {interval_number}",
-                observed=hull_number,
-                status="match" if hull_number <= interval_number else "mismatch",
-                runtime=time.perf_counter() - start,
-            )
-        )
-    return verdicts
-
-
-# -- registry ---------------------------------------------------------------
-
-CHECKS = {
-    "wt-interval-oracle": _make_interval_oracle_check(
-        "wt-interval-oracle", IntervalKind.WEAKLY_TOLL
-    ),
-    "swt-interval-oracle": _make_interval_oracle_check(
-        "swt-interval-oracle", IntervalKind.SEMI_WEAKLY_TOLL
-    ),
-    "toll-interval-oracle": _make_interval_oracle_check(
-        "toll-interval-oracle", IntervalKind.TOLL
-    ),
-    "neighbor-extension": _check_neighbor_extension,
-    "max-interval-decomposition": _make_corpus_predicate_check(
-        "max-interval-decomposition",
-        check_max_interval_decomposition,
-        "outside of a maximum interval splits into the two missed neighbourhoods",
-    ),
-    "wtn-exceeds-two-criterion": _make_corpus_predicate_check(
-        "wtn-exceeds-two-criterion",
-        check_wtn_exceeds_two_criterion,
-        "wtn > 2 iff every maximum pair misses a neighbour",
-    ),
-    "lex-same-layer-interval": _check_lex_same_layer,
-    "lex-cross-layer-interval": _check_lex_cross_layer,
-    "lex-wtn-dichotomy": _check_lex_wtn,
-    "lex-hull-number": _check_lex_wth,
-    "corona-same-copy-interval": _check_corona_same_copy,
-    "corona-cross-copy-interval": _check_corona_cross_copies,
-    "corona-base-pair-interval": _check_corona_base_pair,
-    "corona-mixed-pair-interval": _check_corona_mixed,
-    "corona-base-restriction": _check_corona_base_restriction,
-    "corona-wtn-dichotomy": _check_corona_wtn,
-    "corona-hull-number": _check_corona_wth,
-    "generalized-corona-wtn": _check_generalized_corona,
-    "cartesian-wtn": _check_cartesian_wtn,
-    "strong-wtn-bound": _check_strong_wtn,
-    "convexity-chain": _check_convexity_chain,
-    "hull-closure-axioms": _check_hull_axioms,
-    "wth-le-wtn": _check_wth_le_wtn,
-}
-
-SUITES = {
-    "all": list(CHECKS),
-    "intervals": ["wt-interval-oracle", "swt-interval-oracle", "toll-interval-oracle"],
-    "structure": [
-        "neighbor-extension",
-        "max-interval-decomposition",
-        "wtn-exceeds-two-criterion",
-    ],
-    "lexicographic": [
-        "lex-same-layer-interval",
-        "lex-cross-layer-interval",
-        "lex-wtn-dichotomy",
-        "lex-hull-number",
-    ],
-    "corona": [
-        "corona-same-copy-interval",
-        "corona-cross-copy-interval",
-        "corona-base-pair-interval",
-        "corona-mixed-pair-interval",
-        "corona-base-restriction",
-        "corona-wtn-dichotomy",
-        "corona-hull-number",
-        "generalized-corona-wtn",
-    ],
-    "cartesian-strong": ["cartesian-wtn", "strong-wtn-bound"],
-    "convexity": ["convexity-chain", "hull-closure-axioms", "wth-le-wtn"],
-}
+        predicted = f"wth <= wtn = {interval_number}"
+        yield descriptor, predicted, hull_number, hull_number <= interval_number
 
 
 def run_check(check_id: str, spec: CorpusSpec | None = None) -> list[Verdict]:

@@ -117,6 +117,9 @@ def test_cli_error_paths(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run_cli(capsys, "interval", "--u", "0", "--v", "1")
     assert code == 1 and "error:" in err
+    code, _, err = run_cli(capsys, "interval", "--product", "lex", "--g", "path:3",
+                           "--u", "0", "--v", "1")
+    assert code == 1 and "needs --g and --h" in err
 
 
 def test_verify_command(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 
 import pytest
 
@@ -35,6 +37,32 @@ TINY = CorpusSpec(
     factor_max_n=4,
 )
 
+ALL_CHECKS = [
+    "wt-interval-oracle",
+    "swt-interval-oracle",
+    "toll-interval-oracle",
+    "neighbor-extension",
+    "max-interval-decomposition",
+    "wtn-exceeds-two-criterion",
+    "lex-same-layer-interval",
+    "lex-cross-layer-interval",
+    "lex-wtn-dichotomy",
+    "lex-hull-number",
+    "corona-same-copy-interval",
+    "corona-cross-copy-interval",
+    "corona-base-pair-interval",
+    "corona-mixed-pair-interval",
+    "corona-base-restriction",
+    "corona-wtn-dichotomy",
+    "corona-hull-number",
+    "generalized-corona-wtn",
+    "cartesian-wtn",
+    "strong-wtn-bound",
+    "convexity-chain",
+    "hull-closure-axioms",
+    "wth-le-wtn",
+]
+
 
 def test_connected_graph_counts():
     # connected graphs per isomorphism class: 1, 1, 2, 6, 21, 112
@@ -53,6 +81,14 @@ def test_corpus_spec_guards():
         CorpusSpec(exhaustive_max_n=8)
     with pytest.raises(InfeasibleCorpusError):
         CorpusSpec(random_graph_sizes=(12,))
+    # every connected factor on at most two vertices is complete, so
+    # sampling a non-complete one would never end
+    with pytest.raises(InfeasibleCorpusError):
+        CorpusSpec(factor_min_n=2, factor_max_n=2)
+    with pytest.raises(InfeasibleCorpusError):
+        CorpusSpec(factor_min_n=5, factor_max_n=4)
+    with pytest.raises(InfeasibleCorpusError):
+        CorpusSpec(factor_min_n=0)
 
 
 def test_interval_corpus_composition():
@@ -127,6 +163,27 @@ def test_suites_cover_all_checks():
     assert covered == set(CHECKS)
 
 
+def test_suite_order_is_pinned():
+    assert SUITES["all"] == ALL_CHECKS
+
+
+def test_tiny_report_bytes_are_pinned(tmp_path):
+    verdicts = run_suite("all", TINY)
+    write_jsonl(verdicts, tmp_path / "report.jsonl")
+    digest = hashlib.sha256((tmp_path / "report.jsonl").read_bytes()).hexdigest()
+    assert len(verdicts) == 187
+    assert digest == "3ce823487cb0f925ec0f0855f36f2e387836fafb7d6fc25ad8a42b5cd9d45548"
+
+
+def test_runner_logs_start_and_finish(caplog):
+    caplog.set_level(logging.INFO, logger="wtoll.verify")
+    verdicts = run_check("cartesian-wtn", TINY)
+    messages = [r.getMessage() for r in caplog.records if r.name == "wtoll.verify"]
+    assert messages[0] == "check cartesian-wtn: start"
+    assert messages[-1].startswith(f"check cartesian-wtn: finish, {len(verdicts)} verdicts")
+    assert len(messages) == 2
+
+
 def test_single_check_as_suite():
     verdicts = run_suite("corona-wtn-dichotomy", TINY)
     assert all(v.check == "corona-wtn-dichotomy" for v in verdicts)
@@ -149,6 +206,11 @@ def test_spec_from_file(tmp_path):
     bad.write_text("nonsense = 3\n")
     with pytest.raises(ValueError):
         CorpusSpec.from_file(bad)
+    for text in ("lex_pair_count = 2.5\n", "edge_probabilities = 0.3, x\n"):
+        bad.write_text(text)
+        key = text.split()[0]
+        with pytest.raises(ValueError, match=key):
+            CorpusSpec.from_file(bad)
 
 
 def test_adjacent_base_pairs_are_flagged():
