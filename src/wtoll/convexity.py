@@ -12,20 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import (
-    Graph,
-    VertexSet,
-    require_connected,
-    require_non_complete,
-    require_non_trivial,
-)
-from .intervals import (
-    SYMMETRIC_KINDS,
-    IntervalKind,
-    interval,
-    interval_closure,
-    weakly_toll_interval,
-)
+from .graphs import Graph, VertexSet, require_non_complete, require_non_trivial, require_subset
+from .intervals import IntervalKind, closure_mask, pair_intervals, weakly_toll_interval
 
 
 @dataclass(frozen=True)
@@ -47,41 +35,36 @@ class IntervalReport:
     is_maximum: bool
 
 
-def _pair_interval_masks(graph: Graph, kind: IntervalKind) -> dict[tuple[int, int], int]:
-    masks = {}
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            masks[u, v] = interval(graph, u, v, kind).mask
-            if kind not in SYMMETRIC_KINDS:
-                masks[v, u] = interval(graph, v, u, kind).mask
-    return masks
-
-
 def is_convex(graph: Graph, subset: VertexSet, kind: IntervalKind) -> bool:
     """Whether every pairwise interval of the subset stays inside it."""
-    kind = IntervalKind(kind)
-    require_connected(graph, "convexity test")
+    require_subset(graph, subset)
+    table = pair_intervals(graph, kind, "convexity test")
     members = list(subset)
+    outside = ~subset.mask
     for i, u in enumerate(members):
         for v in members[i + 1 :]:
-            if interval(graph, u, v, kind).mask & ~subset.mask:
-                return False
-            if kind not in SYMMETRIC_KINDS and interval(graph, v, u, kind).mask & ~subset.mask:
+            if table[u, v] & outside:
                 return False
     return True
 
 
-def hull(graph: Graph, subset: VertexSet, kind: IntervalKind = IntervalKind.WEAKLY_TOLL) -> VertexSet:
-    """Least interval-closed superset: iterate the closure to its fixpoint."""
-    kind = IntervalKind(kind)
-    if not subset:
-        raise ValueError("hull needs a nonempty seed set")
-    current = subset
+def _hull_mask(pair, seed: int) -> int:
+    """Closure fixpoint of the ``seed`` bitmask over a pair table or its
+    filled dict."""
+    current = seed
     while True:
-        grown = interval_closure(graph, current, kind)
+        grown = closure_mask(pair, current)
         if grown == current:
             return current
         current = grown
+
+
+def hull(graph: Graph, subset: VertexSet, kind: IntervalKind = IntervalKind.WEAKLY_TOLL) -> VertexSet:
+    """Least interval-closed superset: iterate the closure to its fixpoint."""
+    if not subset:
+        raise ValueError("hull needs a nonempty seed set")
+    require_subset(graph, subset)
+    return VertexSet(graph.n, _hull_mask(pair_intervals(graph, kind), subset.mask))
 
 
 def least_covering_set(n: int, pair: dict[tuple[int, int], int]) -> tuple[int, VertexSet]:
@@ -105,45 +88,31 @@ def least_hull_set(n: int, pair: dict[tuple[int, int], int]) -> tuple[int, Verte
     """Least k with a k-set whose interval closure fixpoint is all n
     vertices, and the lexicographically least such set."""
     full = (1 << n) - 1
-
-    def hull_mask(seed: int) -> int:
-        current = seed
-        while True:
-            members = [x for x in range(n) if current >> x & 1]
-            grown = current
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    grown |= pair[u, v]
-            if grown == current:
-                return current
-            current = grown
-
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
             seed = 0
             for u in combo:
                 seed |= 1 << u
-            if hull_mask(seed) == full:
+            if _hull_mask(pair, seed) == full:
                 return k, VertexSet.from_iterable(n, combo)
     raise AssertionError("the full vertex set always covers itself")
 
 
 def wtn(graph: Graph) -> tuple[int, VertexSet]:
     """Exact weakly toll number with the lexicographically least witness."""
-    require_connected(graph, "weakly toll number")
+    table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
-    return least_covering_set(graph.n, _pair_interval_masks(graph, IntervalKind.WEAKLY_TOLL))
+    return least_covering_set(graph.n, table.filled())
 
 
 def wth(graph: Graph) -> tuple[int, VertexSet]:
     """Exact weakly toll hull number with the lexicographically least witness."""
-    require_connected(graph, "weakly toll hull number")
+    table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
-    return least_hull_set(graph.n, _pair_interval_masks(graph, IntervalKind.WEAKLY_TOLL))
+    return least_hull_set(graph.n, table.filled())
 
 
-def interval_report(graph: Graph, u: int, v: int, is_maximum: bool = False) -> IntervalReport:
-    inside = weakly_toll_interval(graph, u, v)
+def _report(graph: Graph, u: int, v: int, inside: VertexSet, is_maximum: bool) -> IntervalReport:
     outside = inside.complement()
     return IntervalReport(
         u=u,
@@ -156,6 +125,10 @@ def interval_report(graph: Graph, u: int, v: int, is_maximum: bool = False) -> I
     )
 
 
+def interval_report(graph: Graph, u: int, v: int, is_maximum: bool = False) -> IntervalReport:
+    return _report(graph, u, v, weakly_toll_interval(graph, u, v), is_maximum)
+
+
 def maximum_interval_pairs(graph: Graph) -> list[tuple[int, int, IntervalReport]]:
     """All pairs whose weakly toll interval has maximum cardinality.
 
@@ -163,18 +136,15 @@ def maximum_interval_pairs(graph: Graph) -> list[tuple[int, int, IntervalReport]
     least three vertices while adjacent pairs reach exactly two, so every
     maximum pair is non-adjacent; this is asserted rather than assumed.
     """
-    require_connected(graph, "maximum interval search")
+    table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "maximum interval search")
     require_non_complete(graph, "maximum interval search")
-    sizes = {}
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            sizes[u, v] = len(weakly_toll_interval(graph, u, v))
-    best = max(sizes.values())
+    masks = table.filled()
+    best = max(mask.bit_count() for mask in masks.values())
     out = []
-    for (u, v), size in sorted(sizes.items()):
-        if size == best:
+    for (u, v), mask in sorted(masks.items()):
+        if mask.bit_count() == best:
             assert not graph.adjacent(u, v), "maximum interval at an adjacent pair"
-            out.append((u, v, interval_report(graph, u, v, is_maximum=True)))
+            out.append((u, v, _report(graph, u, v, VertexSet(graph.n, mask), True)))
     return out
 
 

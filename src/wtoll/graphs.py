@@ -36,6 +36,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def component_masks(adj: Sequence[int], kept: int) -> list[int]:
+    """Component masks of the subgraph induced on the ``kept`` bitmask,
+    ordered by smallest member."""
+    comps = []
+    todo = kept
+    while todo:
+        comp = todo & -todo
+        while True:
+            grown = comp
+            for w in _bits(comp):
+                grown |= adj[w] & kept
+            if grown == comp:
+                break
+            comp = grown
+        comps.append(comp)
+        todo &= ~comp
+    return comps
+
+
 class VertexSet:
     """An immutable subset of the vertices 0..n-1, backed by a bitmask."""
 
@@ -209,22 +228,7 @@ class Graph:
 
     def connected_components(self) -> list[VertexSet]:
         """Components as vertex sets, ordered by smallest member."""
-        seen = 0
-        out = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            while True:
-                grown = comp
-                for w in _bits(comp):
-                    grown |= self._adj[w]
-                if grown == comp:
-                    break
-                comp = grown
-            seen |= comp
-            out.append(VertexSet(self.n, comp))
-        return out
+        return [VertexSet(self.n, comp) for comp in component_masks(self._adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
@@ -253,9 +257,6 @@ class Graph:
         names = tuple(self.name_of(v) for v in kept) if self.names is not None else None
         return Graph(adj, names), kept
 
-    def with_names(self, names: Sequence[str]) -> "Graph":
-        return Graph(self._adj, names)
-
     # -- equality is structural; display names do not participate ------
 
     def __eq__(self, other) -> bool:
@@ -276,6 +277,11 @@ class Graph:
 def require_connected(graph: Graph, what: str = "operation") -> None:
     if not graph.is_connected():
         raise DisconnectedGraphError(f"{what} requires a connected graph")
+
+
+def require_subset(graph: Graph, subset: VertexSet) -> None:
+    if subset.n != graph.n:
+        raise ValueError("subset belongs to a different vertex range")
 
 
 def require_non_trivial(graph: Graph, what: str = "operation") -> None:

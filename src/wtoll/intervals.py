@@ -16,13 +16,19 @@ connected components of G - (N[u] | N[v]).  The component bookkeeping per
 vertex pair costs O(deg(u) * deg(v)) bitmask operations.  Module ``oracle``
 recomputes the same sets by direct walk enumeration, and the test suite
 keeps both in exact agreement over an exhaustive small-graph corpus.
+
+Each public call checks its graph once.  ``interval``, which the five named
+engines call, checks one query; ``pair_intervals`` checks a graph for a
+lazily filled table of all its pairs, which closures, hulls, convexity tests
+and the subset searches read.  The engine bodies themselves never check.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
-from .graphs import Graph, VertexSet, _bits, require_connected
+from .graphs import Graph, VertexSet, _bits, component_masks, require_connected, require_subset
 
 
 class IntervalKind(str, Enum):
@@ -38,25 +44,6 @@ class IntervalKind(str, Enum):
 SYMMETRIC_KINDS = frozenset(
     {IntervalKind.WEAKLY_TOLL, IntervalKind.TOLL, IntervalKind.MONOPHONIC, IntervalKind.GEODESIC}
 )
-
-
-def _split_components(adj: tuple[int, ...], kept: int) -> list[int]:
-    """Component masks of the subgraph induced on the ``kept`` bitmask."""
-    comps = []
-    todo = kept
-    while todo:
-        seed = todo & -todo
-        comp = seed
-        while True:
-            grown = comp
-            for w in _bits(comp):
-                grown |= adj[w] & kept
-            if grown == comp:
-                break
-            comp = grown
-        comps.append(comp)
-        todo &= ~comp
-    return comps
 
 
 def _touch_tables(adj, comps, candidates: int):
@@ -79,6 +66,21 @@ def _touch_tables(adj, comps, candidates: int):
     return touch_idx, touch_mask
 
 
+# Each public engine below hands its query to ``interval``, which checks it
+# once and runs the engine body: an unchecked mask function of (adj, n, u, v)
+# for a connected graph and u != v.
+
+
+def _hub_split(adj: tuple[int, ...], n: int, u: int, v: int):
+    """For non-adjacent u, v: the components of G - (N[u] | N[v]), the touch
+    tables of the hubs N(u) | N(v), and the exclusive hubs (adjacent to u
+    only, and to v only)."""
+    nu, nv = adj[u], adj[v]
+    comps = component_masks(adj, (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v))
+    touch_idx, touch_mask = _touch_tables(adj, comps, nu | nv)
+    return comps, touch_idx, touch_mask, nu & ~nv, nv & ~nu
+
+
 def weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
     """All vertices lying on some weakly toll walk between u and v.
 
@@ -89,31 +91,21 @@ def weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
     repeat, a walk through a connected pair (a, b) can detour into every
     component touched by a or by b.
     """
-    require_connected(graph, "weakly toll interval")
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    n = graph.n
-    if u == v:
-        return VertexSet(n, 1 << u)
-    adj = graph.adjacency_masks()
+    return interval(graph, u, v, IntervalKind.WEAKLY_TOLL)
+
+
+def _weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
     if adj[u] >> v & 1:
-        return VertexSet(n, 1 << u | 1 << v)
-
-    nu, nv = adj[u], adj[v]
-    kept = (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v)
-    comps = _split_components(adj, kept)
-    touch_idx, touch_mask = _touch_tables(adj, comps, nu | nv)
-
+        return 1 << u | 1 << v
+    _, touch_idx, touch_mask, only_u, only_v = _hub_split(adj, n, u, v)
     result = 1 << u | 1 << v
-    for a in _bits(nu & nv):
+    for a in _bits(adj[u] & adj[v]):
         result |= 1 << a | touch_mask[a]
-    only_u = nu & ~nv & ~(1 << v)
-    only_v = nv & ~nu & ~(1 << u)
     for a in _bits(only_u):
         for b in _bits(only_v):
             if adj[a] >> b & 1 or touch_idx[a] & touch_idx[b]:
                 result |= 1 << a | 1 << b | touch_mask[a] | touch_mask[b]
-    return VertexSet(n, result)
+    return result
 
 
 def semi_weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
@@ -126,26 +118,20 @@ def semi_weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
     step onto v itself, which leaves {u} plus the component of v in
     G - (N[u] - {v}).
     """
-    require_connected(graph, "semi weakly toll interval")
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    n = graph.n
-    if u == v:
-        return VertexSet(n, 1 << u)
-    adj = graph.adjacency_masks()
-    kept = (1 << n) - 1 & ~(adj[u] | 1 << u)
-    comps = _split_components(adj, kept)
-    touch_idx, touch_mask = _touch_tables(adj, comps, adj[u])
+    return interval(graph, u, v, IntervalKind.SEMI_WEAKLY_TOLL)
 
-    result = 1 << u
+
+def _semi_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
+    comps = component_masks(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
+    touch_idx, touch_mask = _touch_tables(adj, comps, adj[u])
     if adj[u] >> v & 1:
-        result |= 1 << v | touch_mask[v]
-        return VertexSet(n, result)
+        return 1 << u | 1 << v | touch_mask[v]
     v_idx = next(1 << i for i, comp in enumerate(comps) if comp >> v & 1)
+    result = 1 << u
     for a in _bits(adj[u]):
         if touch_idx[a] & v_idx:
             result |= 1 << a | touch_mask[a]
-    return VertexSet(n, result)
+    return result
 
 
 def toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
@@ -156,24 +142,14 @@ def toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
     exactly the components touched by both ends (the walk enters the
     interior once and must leave it towards b).
     """
-    require_connected(graph, "toll interval")
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    n = graph.n
-    if u == v:
-        return VertexSet(n, 1 << u)
-    adj = graph.adjacency_masks()
+    return interval(graph, u, v, IntervalKind.TOLL)
+
+
+def _toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
     if adj[u] >> v & 1:
-        return VertexSet(n, 1 << u | 1 << v)
-
-    nu, nv = adj[u], adj[v]
-    kept = (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v)
-    comps = _split_components(adj, kept)
-    touch_idx, touch_mask = _touch_tables(adj, comps, nu | nv)
-
-    result = 1 << u | 1 << v | nu & nv
-    only_u = nu & ~nv & ~(1 << v)
-    only_v = nv & ~nu & ~(1 << u)
+        return 1 << u | 1 << v
+    comps, touch_idx, _, only_u, only_v = _hub_split(adj, n, u, v)
+    result = 1 << u | 1 << v | adj[u] & adj[v]
     for a in _bits(only_u):
         for b in _bits(only_v):
             if adj[a] >> b & 1:
@@ -183,7 +159,7 @@ def toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
                 result |= 1 << a | 1 << b
                 for i in _bits(shared):
                     result |= comps[i]
-    return VertexSet(n, result)
+    return result
 
 
 def _bfs_distances(adj: tuple[int, ...], n: int, source: int) -> list[int]:
@@ -206,29 +182,26 @@ def _bfs_distances(adj: tuple[int, ...], n: int, source: int) -> list[int]:
 
 def geodesic_interval(graph: Graph, u: int, v: int) -> VertexSet:
     """Union of all shortest u-v paths."""
-    require_connected(graph, "geodesic interval")
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    adj = graph.adjacency_masks()
-    du = _bfs_distances(adj, graph.n, u)
-    dv = _bfs_distances(adj, graph.n, v)
+    return interval(graph, u, v, IntervalKind.GEODESIC)
+
+
+def _geodesic(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
+    du = _bfs_distances(adj, n, u)
+    dv = _bfs_distances(adj, n, v)
     d = du[v]
     mask = 0
-    for x in range(graph.n):
+    for x in range(n):
         if du[x] + dv[x] == d:
             mask |= 1 << x
-    return VertexSet(graph.n, mask)
+    return mask
 
 
 def monophonic_interval(graph: Graph, u: int, v: int) -> VertexSet:
     """Union of all induced u-v paths, by depth-first enumeration."""
-    require_connected(graph, "monophonic interval")
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    n = graph.n
-    if u == v:
-        return VertexSet(n, 1 << u)
-    adj = graph.adjacency_masks()
+    return interval(graph, u, v, IntervalKind.MONOPHONIC)
+
+
+def _monophonic(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
     result = 0
 
     def extend(last: int, path: int) -> None:
@@ -243,41 +216,98 @@ def monophonic_interval(graph: Graph, u: int, v: int) -> VertexSet:
             extend(w, path | 1 << w)
 
     extend(u, 1 << u)
-    return VertexSet(n, result)
+    return result
 
 
-_DISPATCH = {
-    IntervalKind.WEAKLY_TOLL: weakly_toll_interval,
-    IntervalKind.SEMI_WEAKLY_TOLL: semi_weakly_toll_interval,
-    IntervalKind.TOLL: toll_interval,
-    IntervalKind.MONOPHONIC: monophonic_interval,
-    IntervalKind.GEODESIC: geodesic_interval,
+_BODIES = {
+    IntervalKind.WEAKLY_TOLL: _weakly_toll,
+    IntervalKind.SEMI_WEAKLY_TOLL: _semi_weakly_toll,
+    IntervalKind.TOLL: _toll,
+    IntervalKind.MONOPHONIC: _monophonic,
+    IntervalKind.GEODESIC: _geodesic,
 }
 
 
 def interval(graph: Graph, u: int, v: int, kind: IntervalKind) -> VertexSet:
-    return _DISPATCH[IntervalKind(kind)](graph, u, v)
+    """The ``kind`` interval from u to v, for a connected graph."""
+    kind = IntervalKind(kind)
+    require_connected(graph, f"{kind.value.replace('-', ' ')} interval")
+    graph._check_vertex(u)
+    graph._check_vertex(v)
+    if u == v:
+        return VertexSet(graph.n, 1 << u)
+    return VertexSet(graph.n, _BODIES[kind](graph.adjacency_masks(), graph.n, u, v))
+
+
+# -- the pair-interval table -----------------------------------------------
+
+
+class PairIntervals:
+    """Pair-interval table of one graph and kind.
+
+    ``table[u, v]`` with u < v is the mask of the union of the intervals
+    from u to v and from v to u, computed from ``ordered(u, v)`` on first
+    read; a symmetric kind needs only the first.  Closures, hulls,
+    convexity tests and the subset searches read nothing else.
+    """
+
+    __slots__ = ("n", "_symmetric", "_ordered", "_masks")
+
+    def __init__(self, n: int, kind: IntervalKind, ordered: Callable[[int, int], int]):
+        self.n = n
+        self._symmetric = IntervalKind(kind) in SYMMETRIC_KINDS
+        self._ordered = ordered
+        self._masks: dict[tuple[int, int], int] = {}
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        mask = self._masks.get(pair)
+        if mask is None:
+            u, v = pair
+            mask = self._ordered(u, v)
+            if not self._symmetric:
+                mask |= self._ordered(v, u)
+            self._masks[pair] = mask
+        return mask
+
+    def filled(self) -> dict[tuple[int, int], int]:
+        """Every pair computed, as a plain dict: the subset searches index
+        it in their inner loops, where a method call per read costs too
+        much."""
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                self[u, v]
+        return self._masks
+
+
+def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) -> PairIntervals:
+    """The pair-interval table of a connected graph, checked here once for
+    all its pairs; ``what`` names the operation in the error and defaults
+    to the interval kind."""
+    kind = IntervalKind(kind)
+    require_connected(graph, what or f"{kind.value.replace('-', ' ')} interval")
+    adj, n, body = graph.adjacency_masks(), graph.n, _BODIES[kind]
+    return PairIntervals(n, kind, lambda u, v: body(adj, n, u, v))
+
+
+def closure_mask(pair, mask: int) -> int:
+    """One closure step: ``mask`` plus ``pair[u, v]`` for every two of its
+    members, from a :class:`PairIntervals` or its filled dict."""
+    members = list(_bits(mask))
+    grown = mask
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
+            grown |= pair[u, v]
+    return grown
 
 
 def interval_closure(graph: Graph, subset: VertexSet, kind: IntervalKind) -> VertexSet:
     """Union of the pairwise intervals over the subset (one closure step).
 
-    Unordered pairs suffice for the symmetric kinds; the semi weakly toll
-    closure takes both orders.  Diagonal pairs contribute the singletons, so
-    the subset itself is always contained in the result.
+    Diagonal pairs contribute the singletons, so the subset itself is
+    always contained in the result.
     """
-    kind = IntervalKind(kind)
-    if subset.n != graph.n:
-        raise ValueError("subset belongs to a different vertex range")
-    members = list(subset)
-    mask = subset.mask
-    fn = _DISPATCH[kind]
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            mask |= fn(graph, u, v).mask
-            if kind not in SYMMETRIC_KINDS:
-                mask |= fn(graph, v, u).mask
-    return VertexSet(graph.n, mask)
+    require_subset(graph, subset)
+    return VertexSet(graph.n, closure_mask(pair_intervals(graph, kind), subset.mask))
 
 
 def is_weakly_toll_set(graph: Graph, subset: VertexSet) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .convexity import least_covering_set, least_hull_set
 from .graphs import Graph, VertexSet, require_connected, require_non_trivial
-from .intervals import IntervalKind
+from .intervals import IntervalKind, PairIntervals
 
 ORACLE_KINDS = (IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL, IntervalKind.TOLL)
 
@@ -316,27 +316,24 @@ def enumerated_interval(
 
 # -- exact minima by subset search --------------------------------------
 #
-# The subset searches are shared with ``convexity``; only the pair table
-# they search over is built here, from ``oracle_interval`` alone.
+# The subset searches are shared with ``convexity``; the pair table they
+# search over is filled here from ``oracle_interval`` alone.
 
 
-def _pair_masks(graph: Graph, budget: WalkBudget | int | None) -> dict[tuple[int, int], int]:
-    masks = {}
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            masks[u, v] = oracle_interval(graph, u, v, IntervalKind.WEAKLY_TOLL, budget).mask
-    return masks
+def _pair_table(graph: Graph, budget: WalkBudget | int | None) -> PairIntervals:
+    wt = IntervalKind.WEAKLY_TOLL
+    return PairIntervals(graph.n, wt, lambda u, v: oracle_interval(graph, u, v, wt, budget).mask)
 
 
 def oracle_wtn(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[int, VertexSet]:
     """Exact weakly toll number with the lexicographically least witness."""
     require_connected(graph, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
-    return least_covering_set(graph.n, _pair_masks(graph, budget))
+    return least_covering_set(graph.n, _pair_table(graph, budget).filled())
 
 
 def oracle_wth(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[int, VertexSet]:
     """Exact weakly toll hull number with the lexicographically least witness."""
     require_connected(graph, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
-    return least_hull_set(graph.n, _pair_masks(graph, budget))
+    return least_hull_set(graph.n, _pair_table(graph, budget).filled())

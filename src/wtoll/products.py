@@ -94,13 +94,6 @@ class ProductGraph:
             self.graph.n, (self.pair_index(g, h) for g in range(self.factors[0].n))
         )
 
-    def base_set(self) -> VertexSet:
-        if self.kind not in CORONA_KINDS:
-            raise ValueError(f"{self.kind.value} product has no base vertices")
-        return VertexSet.from_iterable(
-            self.graph.n, (self.base_index(i) for i in range(self.factors[0].n))
-        )
-
     def copy_set(self, i: int) -> VertexSet:
         """All vertices of the copy attached to base vertex i."""
         if self.kind not in CORONA_KINDS:

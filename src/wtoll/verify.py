@@ -35,7 +35,7 @@ from .graphs import (
     random_connected_graph,
     two_clique_bridge,
 )
-from .intervals import IntervalKind, interval, weakly_toll_interval
+from .intervals import IntervalKind, interval, pair_intervals, weakly_toll_interval
 from .oracle import oracle_interval
 from .products import cartesian, corona, generalized_corona, lexicographic, strong
 
@@ -333,16 +333,17 @@ _check("intervals", "toll-interval-oracle")(_oracle_rows(IntervalKind.TOLL))
 
 def _extension_failures(g: Graph):
     adj = g.adjacency_masks()
+    table = pair_intervals(g, IntervalKind.WEAKLY_TOLL)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.adjacent(u, v):
                 continue
-            wt = weakly_toll_interval(g, u, v)
-            interior = wt.mask & ~(1 << u | 1 << v)
+            wt = table[u, v]
+            interior = wt & ~(1 << u | 1 << v)
             shell = adj[u] | adj[v] | 1 << u | 1 << v
             for x in range(g.n):
-                if not (shell >> x & 1 or x in wt) and adj[x] & interior:
-                    yield {"pair": [u, v], "vertex": x, "interval": _vs(wt)}
+                if not (shell | wt) >> x & 1 and adj[x] & interior:
+                    yield {"pair": [u, v], "vertex": x, "interval": _vs(VertexSet(g.n, wt))}
 
 
 @_check("structure", "neighbor-extension")

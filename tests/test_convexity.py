@@ -24,8 +24,15 @@ from wtoll.graphs import (
     random_tree,
     two_clique_bridge,
 )
-from wtoll.intervals import IntervalKind
+from wtoll.intervals import (
+    IntervalKind,
+    interval,
+    interval_closure,
+    pair_intervals,
+    semi_weakly_toll_interval,
+)
 from wtoll.oracle import oracle_wth, oracle_wtn
+from wtoll.products import lexicographic
 
 CLAW = Graph.from_edge_list(4, [(1, 0), (1, 2), (1, 3)])
 
@@ -35,6 +42,12 @@ def test_claw_convexity_split():
     assert is_convex(CLAW, s, IntervalKind.TOLL)
     assert not is_convex(CLAW, s, IntervalKind.WEAKLY_TOLL)
     assert is_convex(CLAW, VertexSet.full(4), IntervalKind.WEAKLY_TOLL)
+    # a subset of another vertex range is refused, not judged
+    foreign = VertexSet.from_iterable(4, [0, 3])
+    with pytest.raises(ValueError, match="subset belongs to a different vertex range"):
+        is_convex(path_graph(6), foreign, IntervalKind.WEAKLY_TOLL)
+    with pytest.raises(ValueError, match="subset belongs to a different vertex range"):
+        hull(path_graph(6), foreign, IntervalKind.WEAKLY_TOLL)
 
 
 def test_hull_examples():
@@ -52,6 +65,47 @@ def test_hull_examples():
 
     with pytest.raises(ValueError):
         hull(c5, VertexSet.from_iterable(5, []))
+
+
+def test_hull_is_literal_interval_fixpoint():
+    asymmetric = 0
+    for i, g in enumerate(seeded_random_graphs(10, sizes=(5, 6, 7), base_seed=1800)):
+        seed = VertexSet.from_iterable(g.n, [i % g.n, (3 * i + 1) % g.n])
+        for kind in IntervalKind:
+            current = seed
+            while True:
+                grown = current
+                for u in current:
+                    for v in current:
+                        grown = grown | interval(g, u, v, kind)
+                if grown == current:
+                    break
+                current = grown
+            assert hull(g, seed, kind) == current, (g.edges(), kind, sorted(seed))
+        table = pair_intervals(g, IntervalKind.SEMI_WEAKLY_TOLL)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                forward = semi_weakly_toll_interval(g, u, v)
+                backward = semi_weakly_toll_interval(g, v, u)
+                assert table[u, v] == (forward | backward).mask, (g.edges(), u, v)
+                asymmetric += forward != backward
+    assert asymmetric  # the union is not one order in disguise
+
+
+def test_graph_checked_once_per_call(monkeypatch):
+    product = lexicographic(path_graph(3), cycle_graph(4)).graph
+    seed = VertexSet.from_iterable(product.n, [0, 5, 9])
+    checks = []
+    original = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected", lambda self: checks.append(self) or original(self))
+    for call in (
+        lambda: wtn(product),
+        lambda: hull(product, seed),
+        lambda: interval_closure(product, seed, IntervalKind.WEAKLY_TOLL),
+    ):
+        checks.clear()
+        call()
+        assert len(checks) <= 1
 
 
 def test_wtn_known_values():

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import seeded_random_graphs, small_named_graphs
+from wtoll.convexity import hull, is_convex, maximum_interval_pairs, wth, wtn
 from wtoll.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -110,8 +111,23 @@ def test_semi_weakly_toll_is_ordered():
 def test_disconnected_rejected():
     g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
     for kind in IntervalKind:
-        with pytest.raises(DisconnectedGraphError):
+        what = kind.value.replace("-", " ")
+        with pytest.raises(DisconnectedGraphError, match=f"^{what} interval requires"):
             interval(g, 0, 3, kind)
+    pair = VertexSet.from_iterable(4, [0, 3])
+    wt = IntervalKind.WEAKLY_TOLL
+    for what, call in (
+        ("weakly toll interval", lambda: interval_closure(g, pair, wt)),
+        ("semi weakly toll interval", lambda: interval_closure(g, pair, "semi-weakly-toll")),
+        ("weakly toll interval", lambda: hull(g, pair)),
+        ("toll interval", lambda: hull(g, pair, IntervalKind.TOLL)),
+        ("convexity test", lambda: is_convex(g, pair, wt)),
+        ("weakly toll number", lambda: wtn(g)),
+        ("weakly toll hull number", lambda: wth(g)),
+        ("maximum interval search", lambda: maximum_interval_pairs(g)),
+    ):
+        with pytest.raises(DisconnectedGraphError, match=f"^{what} requires a connected graph$"):
+            call()
 
 
 # -- structural properties ---------------------------------------------------
