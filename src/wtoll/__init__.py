@@ -7,6 +7,7 @@ definition-literal walk oracle.
 """
 
 from .convexity import (
+    InfeasibleSearchError,
     IntervalReport,
     check_max_interval_decomposition,
     check_wtn_exceeds_two_criterion,

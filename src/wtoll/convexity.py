@@ -1,19 +1,46 @@
 """Convex-set predicates, hull fixpoints, and exact interval numbers.
 
-The exact searches enumerate candidate sets by increasing cardinality with
-pairwise intervals precomputed once per graph, so the minimum and its
-lexicographically least witness come out deterministically.  On the graph
-products this package targets, the searches stop at three-element sets, so
-exhaustive search stays cheap exactly where it is needed.
+The exact searches try candidate sets by increasing cardinality, so the
+minimum and its lexicographically least witness come out deterministically.
+They read the lazily filled pair table and compute only what they need, in
+three stages:
+
+1. Sets of one and two vertices, straight from the table, stopping at the
+   first success: ``wtn`` = 2 stops at the first pair whose interval is V,
+   and ``wth`` at the first pair whose hull is.  By the end of this stage
+   every pair has been read, so the later stages index a plain dict.
+2. The forced set F: a vertex in no interval between two other vertices is
+   extreme, V minus it is convex, so it lies in every interval set and
+   every hull set.
+3. Sets of k >= max(3, |F|) vertices, each F plus a combination of the
+   other vertices.  Among sets of equal size the lexicographic order
+   depends only on the least element of their symmetric difference, so
+   fixing F keeps the lexicographically least witness.
+
+A size k of the third stage that would try more than ``MAX_SEARCH_SUBSETS``
+sets is refused with :class:`InfeasibleSearchError` rather than left to run
+for hours.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphs import Graph, VertexSet, require_non_complete, require_non_trivial, require_subset
-from .intervals import IntervalKind, closure_mask, pair_intervals, weakly_toll_interval
+from .intervals import IntervalKind, PairIntervals, closure_mask, pair_intervals, weakly_toll_interval
+
+#: The most sets one size k of an exact search may try: a few seconds of
+#: covering checks.  The largest count in the tests and the benchmark
+#: inputs is C(42, 3) = 11480.
+MAX_SEARCH_SUBSETS = 1_000_000
+
+
+class InfeasibleSearchError(ValueError):
+    """Raised when an exact search would try more than ``MAX_SEARCH_SUBSETS``
+    sets of one size."""
 
 
 @dataclass(frozen=True)
@@ -48,15 +75,16 @@ def is_convex(graph: Graph, subset: VertexSet, kind: IntervalKind) -> bool:
     return True
 
 
-def _hull_mask(pair, seed: int) -> int:
-    """Closure fixpoint of the ``seed`` bitmask over a pair table or its
-    filled dict."""
+def _hull_mask(pair, seed: int, full: int) -> int:
+    """Closure fixpoint of the ``seed`` bitmask over a pair table or a
+    filled dict of every pair, stopping as soon as it is ``full``."""
     current = seed
-    while True:
-        grown = closure_mask(pair, current)
+    while current != full:
+        grown = closure_mask(pair, current, full)
         if grown == current:
-            return current
+            break
         current = grown
+    return current
 
 
 def hull(graph: Graph, subset: VertexSet, kind: IntervalKind = IntervalKind.WEAKLY_TOLL) -> VertexSet:
@@ -64,52 +92,78 @@ def hull(graph: Graph, subset: VertexSet, kind: IntervalKind = IntervalKind.WEAK
     if not subset:
         raise ValueError("hull needs a nonempty seed set")
     require_subset(graph, subset)
-    return VertexSet(graph.n, _hull_mask(pair_intervals(graph, kind), subset.mask))
+    full = (1 << graph.n) - 1
+    return VertexSet(graph.n, _hull_mask(pair_intervals(graph, kind), subset.mask, full))
 
 
-def least_covering_set(n: int, pair: dict[tuple[int, int], int]) -> tuple[int, VertexSet]:
-    """Least k with a k-set whose pairwise intervals cover all n vertices,
-    and the lexicographically least such set; ``pair[u, v]`` (u < v) holds
-    the interval masks."""
-    full = (1 << n) - 1
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            mask = 0
-            for i, u in enumerate(combo):
-                mask |= 1 << u
-                for v in combo[i + 1 :]:
-                    mask |= pair[u, v]
-            if mask == full:
-                return k, VertexSet.from_iterable(n, combo)
-    raise AssertionError("the full vertex set always covers itself")
+def _forced_mask(n: int, pair: dict[tuple[int, int], int]) -> int:
+    """Vertices in no interval between two other vertices, from a filled
+    dict of every pair."""
+    inner = 0
+    for (u, v), mask in pair.items():
+        inner |= mask & ~(1 << u | 1 << v)
+    return (1 << n) - 1 & ~inner
 
 
-def least_hull_set(n: int, pair: dict[tuple[int, int], int]) -> tuple[int, VertexSet]:
-    """Least k with a k-set whose interval closure fixpoint is all n
+def _least_set(table: PairIntervals, spans: Callable[[object, int], bool]) -> tuple[int, VertexSet]:
+    """Least k with a k-set S for which ``spans(pair, S)`` holds, and the
+    lexicographically least such S, in the three stages of the module
+    docstring; ``spans`` must fail on every set that leaves out a forced
+    vertex."""
+    n = table.n
+    for u in range(n):
+        if spans(table, 1 << u):
+            return 1, VertexSet(n, 1 << u)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if spans(table, 1 << u | 1 << v):
+                return 2, VertexSet(n, 1 << u | 1 << v)
+    pair = table.filled()
+    forced = _forced_mask(n, pair)
+    free = [x for x in range(n) if not forced >> x & 1]
+    fixed = n - len(free)
+    for k in range(max(3, fixed), n + 1):
+        count = math.comb(len(free), k - fixed)
+        if count > MAX_SEARCH_SUBSETS:
+            raise InfeasibleSearchError(
+                f"exact search on {n} vertices with {fixed} forced would try {count} sets "
+                f"of size {k}, more than {MAX_SEARCH_SUBSETS}"
+            )
+        for combo in itertools.combinations(free, k - fixed):
+            seed = forced
+            for x in combo:
+                seed |= 1 << x
+            if spans(pair, seed):
+                return k, VertexSet(n, seed)
+    raise AssertionError("the full vertex set always spans itself")
+
+
+def least_covering_set(table: PairIntervals) -> tuple[int, VertexSet]:
+    """Least k with a k-set whose pairwise intervals in ``table`` cover all
+    its vertices, and the lexicographically least such set."""
+    full = (1 << table.n) - 1
+    return _least_set(table, lambda pair, seed: closure_mask(pair, seed, full) == full)
+
+
+def least_hull_set(table: PairIntervals) -> tuple[int, VertexSet]:
+    """Least k with a k-set whose closure fixpoint over ``table`` is all its
     vertices, and the lexicographically least such set."""
-    full = (1 << n) - 1
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            seed = 0
-            for u in combo:
-                seed |= 1 << u
-            if _hull_mask(pair, seed) == full:
-                return k, VertexSet.from_iterable(n, combo)
-    raise AssertionError("the full vertex set always covers itself")
+    full = (1 << table.n) - 1
+    return _least_set(table, lambda pair, seed: _hull_mask(pair, seed, full) == full)
 
 
 def wtn(graph: Graph) -> tuple[int, VertexSet]:
     """Exact weakly toll number with the lexicographically least witness."""
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
-    return least_covering_set(graph.n, table.filled())
+    return least_covering_set(table)
 
 
 def wth(graph: Graph) -> tuple[int, VertexSet]:
     """Exact weakly toll hull number with the lexicographically least witness."""
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
-    return least_hull_set(graph.n, table.filled())
+    return least_hull_set(table)
 
 
 def _report(graph: Graph, u: int, v: int, inside: VertexSet, is_maximum: bool) -> IntervalReport:

@@ -36,20 +36,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _component(adj: Sequence[int], kept: int, start: int) -> int:
+    """Mask of the component of the ``start`` bit in the subgraph induced on
+    ``kept``, grown from its frontier only."""
+    comp = frontier = start
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & kept & ~comp
+        comp |= frontier
+    return comp
+
+
 def component_masks(adj: Sequence[int], kept: int) -> list[int]:
     """Component masks of the subgraph induced on the ``kept`` bitmask,
     ordered by smallest member."""
     comps = []
     todo = kept
     while todo:
-        comp = todo & -todo
-        while True:
-            grown = comp
-            for w in _bits(comp):
-                grown |= adj[w] & kept
-            if grown == comp:
-                break
-            comp = grown
+        comp = _component(adj, kept, todo & -todo)
         comps.append(comp)
         todo &= ~comp
     return comps
@@ -231,7 +239,8 @@ class Graph:
         return [VertexSet(self.n, comp) for comp in component_masks(self._adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
+        full = (1 << self.n) - 1
+        return _component(self._adj, full, 1) == full
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2

@@ -20,11 +20,13 @@ keeps both in exact agreement over an exhaustive small-graph corpus.
 Each public call checks its graph once.  ``interval``, which the five named
 engines call, checks one query; ``pair_intervals`` checks a graph for a
 lazily filled table of all its pairs, which closures, hulls, convexity tests
-and the subset searches read.  The engine bodies themselves never check.
+and the subset searches read, and keeps the last two tables for the next
+call on the same graph.  The engine bodies themselves never check.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from typing import Callable
 
@@ -248,7 +250,8 @@ class PairIntervals:
     ``table[u, v]`` with u < v is the mask of the union of the intervals
     from u to v and from v to u, computed from ``ordered(u, v)`` on first
     read; a symmetric kind needs only the first.  Closures, hulls,
-    convexity tests and the subset searches read nothing else.
+    convexity tests and the subset searches read nothing else, and compute
+    only the pairs they read.
     """
 
     __slots__ = ("n", "_symmetric", "_ordered", "_masks")
@@ -270,33 +273,58 @@ class PairIntervals:
         return mask
 
     def filled(self) -> dict[tuple[int, int], int]:
-        """Every pair computed, as a plain dict: the subset searches index
-        it in their inner loops, where a method call per read costs too
-        much."""
+        """Every pair computed, as a plain dict keyed like the table: the
+        subset searches index it in their inner loops once every pair is
+        known, where a method call per read costs too much."""
         for u in range(self.n):
             for v in range(u + 1, self.n):
                 self[u, v]
         return self._masks
 
 
+#: How many tables ``pair_intervals`` keeps, most recently used last.  Two,
+#: because ``closed_forms.lex_wtn`` and ``corona_wtn`` read a factor's table
+#: between ``wtn`` and ``wth`` of the product.
+TABLE_CACHE_SIZE = 2
+_TABLES: dict[tuple[Graph, IntervalKind], PairIntervals] = {}
+_TABLES_LOCK = threading.Lock()
+
+
 def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) -> PairIntervals:
     """The pair-interval table of a connected graph, checked here once for
     all its pairs; ``what`` names the operation in the error and defaults
-    to the interval kind."""
+    to the interval kind.
+
+    The last ``TABLE_CACHE_SIZE`` tables are kept, keyed ``(graph, kind)``,
+    so a second call on the same graph reuses the pairs the first one
+    computed and skips the check.  A disconnected graph is never kept.
+    """
     kind = IntervalKind(kind)
-    require_connected(graph, what or f"{kind.value.replace('-', ' ')} interval")
-    adj, n, body = graph.adjacency_masks(), graph.n, _BODIES[kind]
-    return PairIntervals(n, kind, lambda u, v: body(adj, n, u, v))
+    key = (graph, kind)
+    with _TABLES_LOCK:
+        table = _TABLES.pop(key, None)
+        if table is None:
+            require_connected(graph, what or f"{kind.value.replace('-', ' ')} interval")
+            adj, n, body = graph.adjacency_masks(), graph.n, _BODIES[kind]
+            table = PairIntervals(n, kind, lambda u, v: body(adj, n, u, v))
+            if len(_TABLES) >= TABLE_CACHE_SIZE:
+                del _TABLES[next(iter(_TABLES))]
+        _TABLES[key] = table
+    return table
 
 
-def closure_mask(pair, mask: int) -> int:
+def closure_mask(pair, mask: int, full: int) -> int:
     """One closure step: ``mask`` plus ``pair[u, v]`` for every two of its
-    members, from a :class:`PairIntervals` or its filled dict."""
+    members, from a :class:`PairIntervals` (computing the pairs it lacks)
+    or a filled dict of every pair.  Once the result reaches ``full``, the
+    mask of every vertex, the remaining pairs are not read."""
     members = list(_bits(mask))
     grown = mask
     for i, u in enumerate(members):
         for v in members[i + 1 :]:
             grown |= pair[u, v]
+        if grown == full:
+            break
     return grown
 
 
@@ -307,7 +335,8 @@ def interval_closure(graph: Graph, subset: VertexSet, kind: IntervalKind) -> Ver
     always contained in the result.
     """
     require_subset(graph, subset)
-    return VertexSet(graph.n, closure_mask(pair_intervals(graph, kind), subset.mask))
+    full = (1 << graph.n) - 1
+    return VertexSet(graph.n, closure_mask(pair_intervals(graph, kind), subset.mask, full))
 
 
 def is_weakly_toll_set(graph: Graph, subset: VertexSet) -> bool:

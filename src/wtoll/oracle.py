@@ -329,11 +329,11 @@ def oracle_wtn(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[in
     """Exact weakly toll number with the lexicographically least witness."""
     require_connected(graph, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
-    return least_covering_set(graph.n, _pair_table(graph, budget).filled())
+    return least_covering_set(_pair_table(graph, budget))
 
 
 def oracle_wth(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[int, VertexSet]:
     """Exact weakly toll hull number with the lexicographically least witness."""
     require_connected(graph, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
-    return least_hull_set(graph.n, _pair_table(graph, budget).filled())
+    return least_hull_set(_pair_table(graph, budget))

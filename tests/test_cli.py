@@ -73,6 +73,9 @@ def test_invariant_command(capsys):
     code, out, _ = run_cli(capsys, "invariant", "--graph", "tree:9:4",
                            "--what", "wth")
     assert code == 0 and out.strip() == "2"
+    # every vertex of a clique is forced, so the exact search is immediate
+    code, out, _ = run_cli(capsys, "invariant", "--graph", "complete:30", "--what", "wtn")
+    assert code == 0 and out.strip() == "30"
 
 
 def test_hull_command(capsys):
@@ -120,6 +123,15 @@ def test_cli_error_paths(capsys):
     code, _, err = run_cli(capsys, "interval", "--product", "lex", "--g", "path:3",
                            "--u", "0", "--v", "1")
     assert code == 1 and "needs --g and --h" in err
+
+
+def test_invariant_refuses_oversized_search(capsys, monkeypatch):
+    from wtoll import convexity
+
+    monkeypatch.setattr(convexity, "MAX_SEARCH_SUBSETS", 55)
+    code, out, err = run_cli(capsys, "invariant", "--graph", "random:8:0.7:1280")
+    assert code == 1 and out == ""
+    assert err.startswith("error: exact search on 8 vertices with 0 forced")
 
 
 def test_verify_command(capsys, tmp_path):

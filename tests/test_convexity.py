@@ -1,9 +1,13 @@
 import itertools
+import sys
+import threading
 
 import pytest
 
 from conftest import seeded_random_graphs
+from wtoll import convexity, intervals
 from wtoll.convexity import (
+    InfeasibleSearchError,
     check_max_interval_decomposition,
     check_wtn_exceeds_two_criterion,
     hull,
@@ -21,6 +25,7 @@ from wtoll.graphs import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     random_tree,
     two_clique_bridge,
 )
@@ -32,7 +37,8 @@ from wtoll.intervals import (
     semi_weakly_toll_interval,
 )
 from wtoll.oracle import oracle_wth, oracle_wtn
-from wtoll.products import lexicographic
+from wtoll.products import cartesian, lexicographic
+from wtoll.verify import connected_graphs
 
 CLAW = Graph.from_edge_list(4, [(1, 0), (1, 2), (1, 3)])
 
@@ -244,3 +250,134 @@ def test_every_weakly_toll_set_is_a_hull_set():
         value, witness = wtn(g)
         assert is_weakly_toll_set(g, witness)
         assert hull(g, witness) == VertexSet.full(g.n)
+
+
+def _block_graph(sizes: list[int], chain: bool = True) -> Graph:
+    """Cliques of the given sizes, each glued at one cut vertex to the
+    previous clique's last vertex (``chain``) or all to vertex 0."""
+    edges, top = [], 0
+    for size in sizes:
+        joint = top if chain else 0
+        block = [joint] + list(range(top + 1, top + size))
+        edges += list(itertools.combinations(block, 2))
+        top += size - 1
+    return Graph.from_edge_list(top + 1, edges)
+
+
+def _brute_force(g: Graph) -> tuple[tuple[int, VertexSet], tuple[int, VertexSet]]:
+    """``wtn`` and ``wth`` by trying every subset in combinations order."""
+    full = VertexSet.full(g.n)
+
+    def least(spans):
+        for k in range(1, g.n + 1):
+            for combo in itertools.combinations(range(g.n), k):
+                subset = VertexSet.from_iterable(g.n, combo)
+                if spans(subset):
+                    return k, subset
+
+    return (
+        least(lambda s: interval_closure(g, s, IntervalKind.WEAKLY_TOLL) == full),
+        least(lambda s: hull(g, s) == full),
+    )
+
+
+def test_wtn_and_wth_equal_brute_force():
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    graphs += seeded_random_graphs(24, sizes=(7, 8, 9, 10), base_seed=4100)
+    graphs += [
+        _block_graph(sizes, chain)
+        for sizes in ([3, 3, 3], [2, 4, 3], [4, 2, 2, 4], [3, 4, 2, 3])
+        for chain in (True, False)
+    ]
+    graphs += [two_clique_bridge(k) for k in (3, 4, 5)]
+    beyond_two = 0
+    for g in graphs:
+        expected = _brute_force(g)
+        assert (wtn(g), wth(g)) == expected, g.edges()
+        beyond_two += expected[0][0] > 2
+    assert beyond_two > 20  # the pruned third stage is exercised, not only pairs
+
+
+def _count_pairs(monkeypatch) -> list[tuple[int, int]]:
+    """Start from an empty table cache and record every weakly toll pair an
+    engine body computes."""
+    monkeypatch.setattr(intervals, "_TABLES", {})
+    body = intervals._BODIES[IntervalKind.WEAKLY_TOLL]
+    calls = []
+
+    def counted(adj, n, u, v):
+        calls.append((u, v))
+        return body(adj, n, u, v)
+
+    monkeypatch.setitem(intervals._BODIES, IntervalKind.WEAKLY_TOLL, counted)
+    return calls
+
+
+def test_wtn_two_reads_few_pairs(monkeypatch):
+    calls = _count_pairs(monkeypatch)
+    product = cartesian(path_graph(4), cycle_graph(5)).graph
+    assert wtn(product)[0] == 2
+    assert 0 < len(calls) <= product.n  # of n(n-1)/2 = 190 pairs
+
+
+def test_wth_after_wtn_reuses_the_table(monkeypatch):
+    calls = _count_pairs(monkeypatch)
+    bridge = two_clique_bridge(4)
+    assert wtn(bridge)[0] == 6
+    assert len(calls) == bridge.n * (bridge.n - 1) // 2
+    calls.clear()
+    checks = []
+    original = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected", lambda self: checks.append(self) or original(self))
+    assert wth(bridge)[0] == 6
+    assert calls == [] and checks == []
+
+
+def test_exact_search_refuses_oversized_stages(monkeypatch):
+    covering = random_connected_graph(8, 0.7, 1280)  # wtn 3, nothing forced
+    hull_three = random_connected_graph(6, 0.5, 1222)  # wth 3, two forced
+    monkeypatch.setattr(convexity, "MAX_SEARCH_SUBSETS", 56)
+    assert wtn(covering)[0] == 3
+    monkeypatch.setattr(convexity, "MAX_SEARCH_SUBSETS", 55)
+    with pytest.raises(InfeasibleSearchError, match="on 8 vertices with 0 forced would try 56 sets of size 3"):
+        wtn(covering)
+    assert wth(hull_three)[0] == 3
+    monkeypatch.setattr(convexity, "MAX_SEARCH_SUBSETS", 3)
+    with pytest.raises(InfeasibleSearchError, match="on 6 vertices with 2 forced would try 4 sets of size 3"):
+        wth(hull_three)
+    with pytest.raises(InfeasibleSearchError):
+        oracle_wth(hull_three)
+    assert issubclass(InfeasibleSearchError, ValueError)
+
+
+def test_table_cache_shared_across_threads():
+    graphs = [
+        two_clique_bridge(3),
+        two_clique_bridge(4),
+        lexicographic(path_graph(3), cycle_graph(4)).graph,
+        random_connected_graph(8, 0.7, 1280),
+    ]
+    expected = [(wtn(g), wth(g)) for g in graphs]
+    failures = []
+
+    def work(offset: int) -> None:
+        try:
+            for i in range(offset, offset + 200):
+                g = graphs[i % len(graphs)]
+                assert (wtn(g), wth(g)) == expected[i % len(graphs)], g.edges()
+                assert len(intervals._TABLES) <= intervals.TABLE_CACHE_SIZE
+        except Exception as exc:  # reported below, from the main thread
+            failures.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
