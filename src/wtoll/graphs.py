@@ -372,23 +372,33 @@ def random_connected_graph(k: int, p: float, seed: int) -> Graph:
     return graph
 
 
-# -- graph6 (short form, n <= 62) ---------------------------------------
+# -- graph6 (nauty's formats.txt, n <= 258047) ---------------------------
+#
+# A record is N(n) followed by the upper triangle of the adjacency matrix,
+# column by column, six bits per byte, each byte offset by 63.  N(n) is the
+# byte n + 63 for n <= 62; for 63 <= n <= 258047 it is byte 126 followed by
+# n as 18 bits in three such bytes, so n = 63 gives "~??~".  The 36-bit form
+# for larger n (two bytes 126) is refused.
 
 _G6_HEADER = ">>graph6<<"
+_G6_MAX_N = 258047
 
 
 def encode_graph6(graph: Graph) -> str:
-    """Standard short-form graph6 string (no header, no newline)."""
+    """Standard graph6 string (no header, no newline)."""
     n = graph.n
-    if n > 62:
-        raise Graph6FormatError("short-form graph6 covers at most 62 vertices")
+    if n > _G6_MAX_N:
+        raise Graph6FormatError(f"graph6 covers at most {_G6_MAX_N} vertices, got {n}")
     bits = []
     for j in range(1, n):
         for i in range(j):
             bits.append(1 if graph.adjacent(i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
-    chars = [chr(63 + n)]
+    if n <= 62:
+        chars = [chr(63 + n)]
+    else:
+        chars = ["~"] + [chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)]
     for off in range(0, len(bits), 6):
         group = 0
         for b in bits[off : off + 6]:
@@ -398,17 +408,28 @@ def encode_graph6(graph: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a short-form graph6 record (optionally with the format header)."""
+    """Decode a graph6 record (optionally with the format header)."""
     data = text.strip()
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER) :]
     if not data:
         raise Graph6FormatError("empty graph6 record")
-    n = ord(data[0]) - 63
-    if not 1 <= n <= 62:
-        raise Graph6FormatError(f"unsupported vertex count byte {data[0]!r}")
+    if data[0] == "~":
+        if data[1:2] == "~":
+            raise Graph6FormatError(f"graph6 beyond {_G6_MAX_N} vertices is not supported")
+        size = [ord(ch) - 63 for ch in data[1:4]]
+        if len(size) < 3 or not all(0 <= group < 64 for group in size):
+            raise Graph6FormatError(f"truncated or malformed graph6 size {data[:4]!r}")
+        n = size[0] << 12 | size[1] << 6 | size[2]
+        if n < 63:
+            raise Graph6FormatError(f"long-form graph6 size {n} is below 63")
+        body = data[4:]
+    else:
+        n = ord(data[0]) - 63
+        if not 1 <= n <= 62:
+            raise Graph6FormatError(f"unsupported vertex count byte {data[0]!r}")
+        body = data[1:]
     need = (n * (n - 1) // 2 + 5) // 6
-    body = data[1:]
     if len(body) != need:
         raise Graph6FormatError(f"expected {need} data bytes for n={n}, got {len(body)}")
     bits = []

@@ -8,8 +8,9 @@ mistake in the derived characterisations, so they favour obviousness over
 speed and are only meant for graphs with up to roughly eight vertices
 (``oracle_interval`` itself copes with a few dozen).
 
-Exhaustive walk enumeration is exponential, so ``oracle_interval`` explores
-a memoised state space instead of raw vertex sequences.  The memoisation
+Exhaustive walk enumeration is exponential, so ``witness_lengths`` and
+``oracle_interval`` explore a memoised state space instead of raw vertex
+sequences.  The memoisation
 key is sound because the walk constraints become per-vertex checks once the
 hub vertices are fixed: for a weakly toll walk, after the first step every
 appended vertex adjacent to u must equal the first hub, and all vertices
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .convexity import least_covering_set, least_hull_set
 from .graphs import Graph, VertexSet, require_connected, require_non_trivial
@@ -59,9 +61,7 @@ def _neighbour_sets(graph: Graph) -> list[set[int]]:
 # -- verbatim walk validity --------------------------------------------
 
 
-def is_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
-    """Check the three defining conditions of a weakly toll walk as stated."""
-    adj = _neighbour_sets(graph)
+def _weakly_toll_walk(adj: list[set[int]], walk: list[int], u: int, v: int) -> bool:
     if not walk or walk[0] != u or walk[-1] != v:
         return False
     k = len(walk) - 1
@@ -76,9 +76,7 @@ def is_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
     return True
 
 
-def is_semi_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
-    """Like the weakly toll conditions but restricted to the source side."""
-    adj = _neighbour_sets(graph)
+def _semi_weakly_toll_walk(adj: list[set[int]], walk: list[int], u: int, v: int) -> bool:
     if not walk or walk[0] != u or walk[-1] != v:
         return False
     k = len(walk) - 1
@@ -89,9 +87,7 @@ def is_semi_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> b
     return not any(walk[i] in adj[u] and walk[i] != walk[1] for i in range(1, k + 1))
 
 
-def is_tolled_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
-    """Positional form: w_i is adjacent to u iff i == 1, and to v iff i == k-1."""
-    adj = _neighbour_sets(graph)
+def _tolled_walk(adj: list[set[int]], walk: list[int], u: int, v: int) -> bool:
     if not walk or walk[0] != u or walk[-1] != v:
         return False
     k = len(walk) - 1
@@ -104,20 +100,40 @@ def is_tolled_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
     return not any((walk[i] in adj[v]) != (i == k - 1) for i in range(k))
 
 
+def is_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
+    """Check the three defining conditions of a weakly toll walk as stated."""
+    return _weakly_toll_walk(_neighbour_sets(graph), walk, u, v)
+
+
+def is_semi_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
+    """Like the weakly toll conditions but restricted to the source side."""
+    return _semi_weakly_toll_walk(_neighbour_sets(graph), walk, u, v)
+
+
+def is_tolled_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
+    """Positional form: w_i is adjacent to u iff i == 1, and to v iff i == k-1."""
+    return _tolled_walk(_neighbour_sets(graph), walk, u, v)
+
+
 _CHECKERS = {
-    IntervalKind.WEAKLY_TOLL: is_weakly_toll_walk,
-    IntervalKind.SEMI_WEAKLY_TOLL: is_semi_weakly_toll_walk,
-    IntervalKind.TOLL: is_tolled_walk,
+    IntervalKind.WEAKLY_TOLL: _weakly_toll_walk,
+    IntervalKind.SEMI_WEAKLY_TOLL: _semi_weakly_toll_walk,
+    IntervalKind.TOLL: _tolled_walk,
 }
 
 
 # -- memoised walk-state search -----------------------------------------
 
 
-def _state_interval(starts, transitions, finished, budget: int, n: int, u: int, v: int) -> int:
+def _state_lengths(
+    starts, transitions, finished, budget: int, n: int, u: int, v: int
+) -> dict[int, int]:
     """Shared scaffolding: min edges to reach each state (forward) and to
-    complete a walk from it (backward); a vertex is marked when some state
-    splits a valid walk within budget."""
+    complete a walk from it (backward).  Returns, for every vertex some
+    state of which splits a valid walk within budget, the fewest edges of
+    such a walk; u and v get the shortest valid walk.  BFS distances are
+    exact, so the vertices within any smaller budget B are those whose
+    length is at most B."""
     fwd: dict = {}
     preds: dict = {}
     queue = deque()
@@ -150,19 +166,20 @@ def _state_interval(starts, transitions, finished, budget: int, n: int, u: int, 
                 bwd[prev] = d + 1
                 queue.append(prev)
 
-    mask = 0
-    complete = False
+    lengths: dict[int, int] = {}
     for state, d in fwd.items():
         back = bwd.get(state)
-        if back is not None and d + back <= budget:
-            mask |= 1 << state[0]
-            complete = True
-    if complete:
-        mask |= 1 << u | 1 << v
-    return mask
+        # the default budget + 1 keeps only walks within budget
+        if back is not None and d + back < lengths.get(state[0], budget + 1):
+            lengths[state[0]] = d + back
+    if lengths:
+        lengths[u] = lengths[v] = min(lengths.values())
+    return lengths
 
 
-def _weakly_toll_mask(adj: list[set[int]], n: int, u: int, v: int, budget: int) -> int:
+def _weakly_toll_lengths(
+    adj: list[set[int]], n: int, u: int, v: int, budget: int
+) -> dict[int, int]:
     nu, nv = adj[u], adj[v]
     b0 = u if u in nv else -1
 
@@ -190,10 +207,12 @@ def _weakly_toll_mask(adj: list[set[int]], n: int, u: int, v: int, budget: int) 
     def finished(fwd):
         return [(state, 0) for state in fwd if state[0] == v]
 
-    return _state_interval(starts, transitions, finished, budget, n, u, v)
+    return _state_lengths(starts, transitions, finished, budget, n, u, v)
 
 
-def _semi_weakly_toll_mask(adj: list[set[int]], n: int, u: int, v: int, budget: int) -> int:
+def _semi_weakly_toll_lengths(
+    adj: list[set[int]], n: int, u: int, v: int, budget: int
+) -> dict[int, int]:
     nu = adj[u]
 
     def transitions(state):
@@ -208,15 +227,17 @@ def _semi_weakly_toll_mask(adj: list[set[int]], n: int, u: int, v: int, budget: 
     def finished(fwd):
         return [(state, 0) for state in fwd if state[0] == v]
 
-    return _state_interval(starts, transitions, finished, budget, n, u, v)
+    return _state_lengths(starts, transitions, finished, budget, n, u, v)
 
 
-def _toll_mask(adj: list[set[int]], n: int, u: int, v: int, budget: int) -> int:
+def _toll_lengths(
+    adj: list[set[int]], n: int, u: int, v: int, budget: int
+) -> dict[int, int]:
     nu, nv = adj[u], adj[v]
     if v in nu:
         # a longer walk would place v at a position other than 1 while v is
         # adjacent to the start, violating the positional condition
-        return (1 << u | 1 << v) if budget >= 1 else 0
+        return {u: 1, v: 1}
     MID, LAST = 0, 1
 
     def transitions(state):
@@ -234,13 +255,13 @@ def _toll_mask(adj: list[set[int]], n: int, u: int, v: int, budget: int) -> int:
         # one more edge hops from the penultimate vertex onto v
         return [(state, 1) for state in fwd if state[1] == LAST]
 
-    return _state_interval(starts, transitions, finished, budget, n, u, v)
+    return _state_lengths(starts, transitions, finished, budget, n, u, v)
 
 
 _BUILDERS = {
-    IntervalKind.WEAKLY_TOLL: _weakly_toll_mask,
-    IntervalKind.SEMI_WEAKLY_TOLL: _semi_weakly_toll_mask,
-    IntervalKind.TOLL: _toll_mask,
+    IntervalKind.WEAKLY_TOLL: _weakly_toll_lengths,
+    IntervalKind.SEMI_WEAKLY_TOLL: _semi_weakly_toll_lengths,
+    IntervalKind.TOLL: _toll_lengths,
 }
 
 
@@ -252,6 +273,31 @@ def _as_budget(graph: Graph, budget: WalkBudget | int | None) -> int:
     return WalkBudget(budget).max_len
 
 
+def witness_lengths(
+    graph: Graph,
+    pairs: Iterable[tuple[int, int]],
+    kind: IntervalKind,
+    budget: WalkBudget | int | None = None,
+) -> Iterator[dict[int, int]]:
+    """For each ``(u, v)`` in ``pairs``, the fewest edges of a qualifying
+    walk of at most ``budget`` edges through each vertex such a walk visits
+    (u and v get the shortest one).  ``oracle_interval`` at any budget B up
+    to ``budget`` is the set of vertices whose length is at most B.  The
+    graph is checked and its neighbour sets built once for all pairs."""
+    kind = IntervalKind(kind)
+    if kind not in _BUILDERS:
+        raise ValueError(f"no walk oracle for interval kind {kind.value!r}")
+    require_connected(graph, "walk oracle")
+    pairs = list(pairs)
+    for u, v in pairs:
+        graph._check_vertex(u)
+        graph._check_vertex(v)
+    max_len = _as_budget(graph, budget)
+    adj = _neighbour_sets(graph)
+    build = _BUILDERS[kind]
+    return ({u: 0} if u == v else build(adj, graph.n, u, v, max_len) for u, v in pairs)
+
+
 def oracle_interval(
     graph: Graph,
     u: int,
@@ -260,17 +306,8 @@ def oracle_interval(
     budget: WalkBudget | int | None = None,
 ) -> VertexSet:
     """Vertices visited by some qualifying walk of at most ``budget`` edges."""
-    kind = IntervalKind(kind)
-    if kind not in _BUILDERS:
-        raise ValueError(f"no walk oracle for interval kind {kind.value!r}")
-    require_connected(graph, "walk oracle")
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    max_len = _as_budget(graph, budget)
-    if u == v:
-        return VertexSet(graph.n, 1 << u)
-    adj = _neighbour_sets(graph)
-    return VertexSet(graph.n, _BUILDERS[kind](adj, graph.n, u, v, max_len))
+    (lengths,) = witness_lengths(graph, [(u, v)], kind, budget)
+    return VertexSet(graph.n, sum(1 << x for x in lengths))
 
 
 def enumerated_interval(
@@ -300,7 +337,7 @@ def enumerated_interval(
 
     def extend() -> None:
         nonlocal mask
-        if walk[-1] == v and checker(graph, walk, u, v):
+        if walk[-1] == v and checker(adj, walk, u, v):
             for x in walk:
                 mask |= 1 << x
         if len(walk) > max_len:

@@ -91,6 +91,14 @@ def test_product_command(capsys, tmp_path):
     assert code == 0
     assert load_graph(str(out_file)).n == 9
 
+    # 64 vertices need graph6's long form
+    big_file = tmp_path / "lex64.g6"
+    code, _, _ = run_cli(capsys, "product", "--kind", "lex", "--g", "path:8",
+                         "--h", "path:8", "--out", str(big_file))
+    assert code == 0 and big_file.read_text().startswith("~?@?")
+    code, out, _ = run_cli(capsys, "export", "--graph", str(big_file), "--dot", "-")
+    assert code == 0 and out.count(" -- ") == 7 * 64 + 8 * 7  # |E(G)||H|^2 + |G||E(H)|
+
     el_file = tmp_path / "corona.txt"
     dot_file = tmp_path / "corona.dot"
     code, _, _ = run_cli(capsys, "product", "--kind", "corona", "--g", "path:3",

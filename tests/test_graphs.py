@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from wtoll.graphs import (
@@ -150,9 +152,25 @@ def test_graph6_rejects_nonzero_padding():
         parse_graph6(bad)
 
 
-def test_graph6_size_limit():
+def test_graph6_long_form():
+    # nauty's N(n) for 63 <= n <= 258047: byte 126, then n as three 6-bit bytes
+    assert encode_graph6(path_graph(63)).startswith("~??~")
+    for n in (63, 64, 100):
+        g = random_connected_graph(n, 0.1, n)
+        assert encode_graph6(g)[0] == "~"
+        assert parse_graph6(encode_graph6(g)) == g
+
+
+@pytest.mark.parametrize("bad", ["~", "~??", "~~??????", "~???", "~??}", "~??~?"])
+def test_graph6_malformed_long_form(bad):
     with pytest.raises(Graph6FormatError):
-        encode_graph6(path_graph(63))
+        parse_graph6(bad)
+
+
+def test_graph6_size_limit():
+    with pytest.raises(Graph6FormatError, match="at most 258047"):
+        # the size is checked first, so a stand-in with a vertex count will do
+        encode_graph6(SimpleNamespace(n=258048))
 
 
 # -- edge-list text --------------------------------------------------------

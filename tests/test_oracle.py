@@ -24,7 +24,9 @@ from wtoll.oracle import (
     oracle_interval,
     oracle_wth,
     oracle_wtn,
+    witness_lengths,
 )
+from wtoll.verify import connected_graphs
 
 CLAW = Graph.from_edge_list(4, [(1, 0), (1, 2), (1, 3)])
 
@@ -141,6 +143,57 @@ def test_budget_stabilisation():
                     at_2n = oracle_interval(g, u, v, kind, 2 * g.n)
                     at_2n2 = oracle_interval(g, u, v, kind, 2 * g.n + 2)
                     assert at_2n == at_2n2
+
+
+def _pairs(g, kind):
+    if kind is IntervalKind.SEMI_WEAKLY_TOLL:
+        return [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+
+
+def test_one_search_gives_the_interval_at_smaller_budgets():
+    zoo = [g for n in range(2, 6) for g in connected_graphs(n)]
+    zoo += seeded_random_graphs(20, sizes=(7, 8), base_seed=2718)
+    for g in zoo:
+        for kind in ORACLE_KINDS:
+            pairs = _pairs(g, kind)
+            at_2n = [oracle_interval(g, u, v, kind, 2 * g.n) for u, v in pairs]
+            for extra in (0, 2):
+                top = 2 * g.n + extra
+                searched = witness_lengths(g, pairs, kind, top)
+                for (u, v), lengths, expected_2n in zip(pairs, searched, at_2n):
+                    expected_top = oracle_interval(g, u, v, kind, top)
+                    for budget, expected in ((top, expected_top), (2 * g.n, expected_2n)):
+                        mask = sum(1 << x for x, edges in lengths.items() if edges <= budget)
+                        assert mask == expected.mask, (g.edges(), kind, u, v, budget)
+                    if kind is IntervalKind.TOLL and g.adjacent(u, v):
+                        assert lengths == {u: 1, v: 1}
+
+
+def test_witness_lengths_are_minimal():
+    # each vertex's length is the least budget whose interval holds it
+    for g in [g for n in range(2, 5) for g in connected_graphs(n)] + [CLAW, path_graph(5)]:
+        for kind in ORACLE_KINDS:
+            pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+            top = 2 * g.n + 2
+            for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind, top)):
+                first_in = {}
+                for budget in range(1, top + 1):
+                    for x in oracle_interval(g, u, v, kind, budget):
+                        first_in.setdefault(x, budget)
+                if u == v:
+                    assert lengths == {u: 0}
+                else:
+                    assert lengths == first_in, (g.edges(), kind, u, v)
+
+
+def test_witness_lengths_checks_its_input():
+    with pytest.raises(DisconnectedGraphError):
+        witness_lengths(Graph.from_edge_list(4, [(0, 1), (2, 3)]), [(0, 1)], IntervalKind.TOLL)
+    with pytest.raises(ValueError, match="out of range"):
+        witness_lengths(CLAW, [(0, 1), (0, 4)], IntervalKind.TOLL)
+    with pytest.raises(ValueError, match="no walk oracle"):
+        witness_lengths(CLAW, [(0, 1)], IntervalKind.GEODESIC)
 
 
 # -- exact minima -----------------------------------------------------------

@@ -1,14 +1,23 @@
 import hashlib
+import itertools
 import json
 import logging
+import re
+from fractions import Fraction
 
 import pytest
 
+from conftest import seeded_random_graphs
+from wtoll.graphs import complete_graph, cycle_graph, encode_graph6
+from wtoll.intervals import IntervalKind
+from wtoll import verify
+from wtoll.oracle import oracle_interval, witness_lengths
 from wtoll.verify import (
     CHECKS,
     SUITES,
     CorpusSpec,
     InfeasibleCorpusError,
+    _canonical_edges,
     connected_graphs,
     interval_corpus,
     run_check,
@@ -69,6 +78,52 @@ def test_connected_graph_counts():
     assert [len(connected_graphs(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
     assert len(connected_graphs(6)) == 112
     assert all(g.is_connected() for g in connected_graphs(5))
+
+
+def _brute_canonical_edges(n, edges):
+    """The definition: the least sorted edge list over all n! relabellings."""
+    return min(
+        tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _reference_connected(n):
+    """Every candidate through the brute-force canonical form, de-duplicated
+    and sorted by edge count, then edge list."""
+    if n == 1:
+        return [()]
+    seen = set()
+    for smaller in _reference_connected(n - 1):
+        for bits in range(1, 1 << (n - 1)):
+            edges = set(smaller) | {(v, n - 1) for v in range(n - 1) if bits >> v & 1}
+            seen.add(_brute_canonical_edges(n, edges))
+    return sorted(seen, key=lambda e: (len(e), e))
+
+
+def test_connected_graphs_equal_brute_force_reference():
+    for n in range(1, 6):
+        assert [tuple(g.edges()) for g in connected_graphs(n)] == _reference_connected(n)
+    listing = "\n".join(encode_graph6(g) for g in connected_graphs(6))
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    assert digest == "b58589a39cf4662f74ed6bb7318a3915fcaa58b17b6780c194198475f08f00d9"
+
+
+def test_canonical_edges_equal_brute_force():
+    graphs = []
+    for n in range(1, 6):  # every labelled graph, connected or not
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append((n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    symmetric = [complete_graph(6), cycle_graph(6), cycle_graph(7)]
+    for g in symmetric + seeded_random_graphs(12, sizes=(6, 6, 7), base_seed=5150):
+        graphs.append((g.n, g.edges()))
+    for n, edges in graphs:
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        assert _canonical_edges(adj) == _brute_canonical_edges(n, edges), (n, edges)
 
 
 def test_connected_graphs_refuses_large_n():
@@ -225,3 +280,77 @@ def test_adjacent_base_pairs_are_flagged():
     notes = {v.note for v in verdicts}
     assert "adjacent-base-pair" in notes and "same-base" in notes
     assert all(v.status == "match" for v in verdicts)
+
+
+def test_default_report_bytes_are_pinned(tmp_path):
+    verdicts = run_suite("all", CorpusSpec())
+    write_jsonl(verdicts, tmp_path / "report.jsonl")
+    digest = hashlib.sha256((tmp_path / "report.jsonl").read_bytes()).hexdigest()
+    summary = summarize(verdicts)
+    assert (summary.total, summary.mismatches, summary.skipped) == (5694, 0, 10)
+    assert digest == "34e66ae595c9a61fd2343a8474dd7d4a85eb48a17a978bf1c7b5fac16d818a8d"
+
+
+def test_oracle_checks_log_the_witness_margin(caplog):
+    caplog.set_level(logging.INFO, logger="wtoll.verify")
+    margin = re.compile(
+        r"check (\S+): longest minimal witness (\d+) edges at n=(\d+) \((\d\.\d\d) \u00d7 2n\)"
+    )
+    logged = {}
+    for check_id in ("wt-interval-oracle", "swt-interval-oracle", "toll-interval-oracle"):
+        run_check(check_id, TINY)
+        lines = [r.getMessage() for r in caplog.records if "longest" in r.getMessage()]
+        match = margin.fullmatch(lines[-1])
+        assert match and match[1] == check_id, lines
+        edges, n = int(match[2]), int(match[3])
+        assert match[4] == f"{edges / (2 * n):.2f}"
+        logged[check_id] = Fraction(edges, 2 * n)
+    assert len([r for r in caplog.records if "longest" in r.getMessage()]) == 3
+
+    # the weakly toll margin again, from budgets that grow until each vertex
+    # joins the oracle interval
+    longest = Fraction(0)
+    for _, g in interval_corpus(TINY):
+        for u, v in itertools.combinations(range(g.n), 2):
+            first_in = {}
+            for budget in range(1, 2 * g.n + TINY.budget_extra + 1):
+                for x in oracle_interval(g, u, v, IntervalKind.WEAKLY_TOLL, budget):
+                    first_in.setdefault(x, budget)
+            longest = max(longest, Fraction(max(first_in.values()), 2 * g.n))
+    assert logged["wt-interval-oracle"] == longest
+
+
+def test_witness_margin_is_relative_to_2n(caplog):
+    # an 8-vertex graph here has a 6-edge minimal witness (6/16 of 2n), but a
+    # 4-vertex path's 4 edges are the larger share of its 2n
+    spec = CorpusSpec(exhaustive_max_n=4, random_graph_count=6, random_graph_sizes=(8,),
+                      edge_probabilities=(0.6,))
+    kind = IntervalKind.WEAKLY_TOLL
+    eights = [g for _, g in interval_corpus(spec) if g.n == 8]
+    assert max(
+        max(lengths.values())
+        for g in eights
+        for lengths in witness_lengths(g, itertools.combinations(range(8), 2), kind, 18)
+    ) == 6
+    caplog.set_level(logging.INFO, logger="wtoll.verify")
+    run_check("wt-interval-oracle", spec)
+    assert [r.getMessage() for r in caplog.records if "longest" in r.getMessage()] == [
+        "check wt-interval-oracle: longest minimal witness 4 edges at n=4 (0.50 \u00d7 2n)"
+    ]
+
+
+def test_oracle_check_flags_witnesses_beyond_2n(monkeypatch):
+    # every vertex's witness stretched to 2n + shift: the masks at 2n + 2
+    # and at 2n agree for shift 0 and differ for shift 1
+    spec = CorpusSpec(exhaustive_max_n=3, random_graph_count=0)
+    found = verify.witness_lengths
+    for shift, status in ((0, "match"), (1, "mismatch")):
+        def stretched(g, pairs, kind, budget, shift=shift):
+            for lengths in found(g, pairs, kind, budget):
+                yield {x: 2 * g.n + shift for x in lengths}
+
+        monkeypatch.setattr(verify, "witness_lengths", stretched)
+        for check_id in ("wt-interval-oracle", "swt-interval-oracle", "toll-interval-oracle"):
+            verdicts = run_check(check_id, spec)
+            assert {v.status for v in verdicts} == {status}, check_id
+    assert verdicts[0].observed["oracle_at_2n"] == []
