@@ -36,31 +36,45 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _component(adj: Sequence[int], kept: int, start: int) -> int:
-    """Mask of the component of the ``start`` bit in the subgraph induced on
-    ``kept``, grown from its frontier only."""
-    comp = frontier = start
-    while frontier:
-        grown = 0
+def neighbourhood(adj: Sequence[int], mask: int) -> int:
+    """The OR of the adjacency masks of the members of ``mask``."""
+    near = 0
+    while mask:
+        low = mask & -mask
+        near |= adj[low.bit_length() - 1]
+        mask ^= low
+    return near
+
+
+def component_boundaries(adj: Sequence[int], kept: int) -> list[tuple[int, int]]:
+    """Components of the subgraph induced on the ``kept`` bitmask, ordered
+    by smallest member, each with its boundary: the vertices outside
+    ``kept`` adjacent to it.
+
+    Each component grows from its frontier only, and its boundary is the
+    OR of its members' adjacency that this growth reads anyway.
+    """
+    found = []
+    outside = ~kept
+    todo = kept
+    while todo:
+        comp = frontier = todo & -todo
+        todo ^= comp
+        reach = 0
         while frontier:
-            low = frontier & -frontier
-            grown |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & kept & ~comp
-        comp |= frontier
-    return comp
+            grown = neighbourhood(adj, frontier)
+            reach |= grown
+            frontier = grown & todo
+            todo ^= frontier
+            comp |= frontier
+        found.append((comp, reach & outside))
+    return found
 
 
 def component_masks(adj: Sequence[int], kept: int) -> list[int]:
     """Component masks of the subgraph induced on the ``kept`` bitmask,
     ordered by smallest member."""
-    comps = []
-    todo = kept
-    while todo:
-        comp = _component(adj, kept, todo & -todo)
-        comps.append(comp)
-        todo &= ~comp
-    return comps
+    return [comp for comp, _ in component_boundaries(adj, kept)]
 
 
 class VertexSet:
@@ -155,9 +169,8 @@ class Graph:
         n = len(adj)
         if n < 1:
             raise ValueError("a graph needs at least one vertex")
-        full = (1 << n) - 1
         for v, mask in enumerate(adj):
-            if mask & ~full:
+            if mask >> n:
                 raise ValueError(f"adjacency of {v} mentions vertices >= {n}")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
@@ -239,8 +252,7 @@ class Graph:
         return [VertexSet(self.n, comp) for comp in component_masks(self._adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
-        full = (1 << self.n) - 1
-        return _component(self._adj, full, 1) == full
+        return len(component_boundaries(self._adj, (1 << self.n) - 1)) == 1
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
@@ -362,13 +374,14 @@ def random_connected_graph(k: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < p]
     graph = Graph.from_edge_list(k, edges)
-    while not graph.is_connected():
-        comps = graph.connected_components()
+    comps = graph.connected_components()
+    while len(comps) > 1:
         a, b = rng.sample(range(len(comps)), 2)
         u = rng.choice(sorted(comps[a]))
         v = rng.choice(sorted(comps[b]))
         edges.append((u, v))
         graph = Graph.from_edge_list(k, edges)
+        comps = graph.connected_components()
     return graph
 
 

@@ -12,10 +12,12 @@ The weakly toll / semi weakly toll / toll engines below do not enumerate
 walks.  They rely on a hub decomposition: once the first-step neighbour a of
 u and the last-step neighbour b of v are fixed, every other interior vertex
 must avoid N[u] and N[v] entirely, so the reachable interior is a union of
-connected components of G - (N[u] | N[v]).  The component bookkeeping per
-vertex pair costs O(deg(u) * deg(v)) bitmask operations.  Module ``oracle``
-recomputes the same sets by direct walk enumeration, and the test suite
-keeps both in exact agreement over an exhaustive small-graph corpus.
+connected components of G - (N[u] | N[v]).  Each component comes with its
+boundary, the removed vertices adjacent to it, and every hub and component
+is then decided by intersecting masks: one component sweep plus
+O(#components + deg u + deg v) mask operations per vertex pair.  Module
+``oracle`` recomputes the same sets by direct walk enumeration, and the test
+suite keeps both in exact agreement over an exhaustive small-graph corpus.
 
 Each public call checks its graph once.  ``interval``, which the five named
 engines call, checks one query; ``pair_intervals`` checks a graph for a
@@ -30,7 +32,15 @@ import threading
 from enum import Enum
 from typing import Callable
 
-from .graphs import Graph, VertexSet, _bits, component_masks, require_connected, require_subset
+from .graphs import (
+    Graph,
+    VertexSet,
+    _bits,
+    component_boundaries,
+    neighbourhood,
+    require_connected,
+    require_subset,
+)
 
 
 class IntervalKind(str, Enum):
@@ -48,50 +58,46 @@ SYMMETRIC_KINDS = frozenset(
 )
 
 
-def _touch_tables(adj, comps, candidates: int):
-    """For each candidate hub, which base components its neighbours touch.
-
-    Returns two dicts keyed by hub vertex: a small bitmask over component
-    indices, and the union of the touched components' vertex masks.
-    """
-    touch_idx = {}
-    touch_mask = {}
-    for y in _bits(candidates):
-        idx = 0
-        mask = 0
-        for i, comp in enumerate(comps):
-            if adj[y] & comp:
-                idx |= 1 << i
-                mask |= comp
-        touch_idx[y] = idx
-        touch_mask[y] = mask
-    return touch_idx, touch_mask
-
-
 # Each public engine below hands its query to ``interval``, which checks it
 # once and runs the engine body: an unchecked mask function of (adj, n, u, v)
 # for a connected graph and u != v.
 
 
-def _hub_split(adj: tuple[int, ...], n: int, u: int, v: int):
-    """For non-adjacent u, v: the components of G - (N[u] | N[v]), the touch
-    tables of the hubs N(u) | N(v), and the exclusive hubs (adjacent to u
-    only, and to v only)."""
+def _qualifying_hubs(adj: tuple[int, ...], n: int, u: int, v: int):
+    """For non-adjacent u, v: the components of G - (N[u] | N[v]) with their
+    boundaries, the exclusive hubs that qualify, and the union of the
+    components whose boundary meets both sides.
+
+    The exclusive hubs are A = N(u) - N(v) and B = N(v) - N(u).  A hub
+    qualifies when it is adjacent to a hub of the other side, or when it
+    borders a component that also borders the other side.
+    """
     nu, nv = adj[u], adj[v]
-    comps = component_masks(adj, (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v))
-    touch_idx, touch_mask = _touch_tables(adj, comps, nu | nv)
-    return comps, touch_idx, touch_mask, nu & ~nv, nv & ~nu
+    only_u, only_v = nu & ~nv, nv & ~nu
+    comps = component_boundaries(adj, (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v))
+    hubs = only_u & neighbourhood(adj, only_v)
+    # b in B is next to A exactly when it is next to A & N(B)
+    hubs |= only_v & neighbourhood(adj, hubs)
+    exclusive = only_u | only_v
+    two_sided = 0
+    for comp, touch in comps:
+        if touch & only_u and touch & only_v:
+            hubs |= touch & exclusive
+            two_sided |= comp
+    return comps, hubs, two_sided
 
 
 def weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
     """All vertices lying on some weakly toll walk between u and v.
 
-    For non-adjacent u, v the qualifying hub pairs (a, b) are either a
-    common neighbour (a == b) or a pair with a adjacent to u but not to v
-    and b adjacent to v but not to u; any other combination would put a
-    second v-neighbour (or u-neighbour) on the walk.  Because hubs may
-    repeat, a walk through a connected pair (a, b) can detour into every
-    component touched by a or by b.
+    For non-adjacent u, v a walk leaves u through a hub a and reaches v
+    through a hub b, where either a == b is a common neighbour or a is
+    adjacent to u only and b to v only; any other combination would put a
+    second v-neighbour (or u-neighbour) on the walk.  Such an exclusive
+    pair is usable when a and b are adjacent or border a common component
+    of G - (N[u] | N[v]), so a hub qualifies when some partner on the other
+    side does.  Because hubs may repeat, the walk can detour into every
+    component that a common neighbour or a qualifying hub borders.
     """
     return interval(graph, u, v, IntervalKind.WEAKLY_TOLL)
 
@@ -99,14 +105,12 @@ def weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
 def _weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
     if adj[u] >> v & 1:
         return 1 << u | 1 << v
-    _, touch_idx, touch_mask, only_u, only_v = _hub_split(adj, n, u, v)
-    result = 1 << u | 1 << v
-    for a in _bits(adj[u] & adj[v]):
-        result |= 1 << a | touch_mask[a]
-    for a in _bits(only_u):
-        for b in _bits(only_v):
-            if adj[a] >> b & 1 or touch_idx[a] & touch_idx[b]:
-                result |= 1 << a | 1 << b | touch_mask[a] | touch_mask[b]
+    comps, hubs, _ = _qualifying_hubs(adj, n, u, v)
+    hubs |= adj[u] & adj[v]
+    result = 1 << u | 1 << v | hubs
+    for comp, touch in comps:
+        if touch & hubs:
+            result |= comp
     return result
 
 
@@ -124,15 +128,16 @@ def semi_weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
 
 
 def _semi_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
-    comps = component_masks(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
-    touch_idx, touch_mask = _touch_tables(adj, comps, adj[u])
+    comps = component_boundaries(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
     if adj[u] >> v & 1:
-        return 1 << u | 1 << v | touch_mask[v]
-    v_idx = next(1 << i for i, comp in enumerate(comps) if comp >> v & 1)
-    result = 1 << u
-    for a in _bits(adj[u]):
-        if touch_idx[a] & v_idx:
-            result |= 1 << a | touch_mask[a]
+        hubs = 1 << v
+    else:
+        # the first steps that reach v: the boundary of v's component
+        hubs = next(touch for comp, touch in comps if comp >> v & 1)
+    result = 1 << u | hubs
+    for comp, touch in comps:
+        if touch & hubs:
+            result |= comp
     return result
 
 
@@ -140,9 +145,10 @@ def toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
     """All vertices lying on some tolled walk between u and v.
 
     Hubs occur exactly once in a tolled walk, so a common neighbour
-    contributes only itself, and an exclusive hub pair (a, b) reaches
-    exactly the components touched by both ends (the walk enters the
-    interior once and must leave it towards b).
+    contributes only itself, a qualifying exclusive hub (as for weakly toll
+    walks) contributes itself, and a component joins exactly when it
+    borders both sides (the walk enters the interior once from a and must
+    leave it towards b).
     """
     return interval(graph, u, v, IntervalKind.TOLL)
 
@@ -150,36 +156,8 @@ def toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
 def _toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
     if adj[u] >> v & 1:
         return 1 << u | 1 << v
-    comps, touch_idx, _, only_u, only_v = _hub_split(adj, n, u, v)
-    result = 1 << u | 1 << v | adj[u] & adj[v]
-    for a in _bits(only_u):
-        for b in _bits(only_v):
-            if adj[a] >> b & 1:
-                result |= 1 << a | 1 << b
-            shared = touch_idx[a] & touch_idx[b]
-            if shared:
-                result |= 1 << a | 1 << b
-                for i in _bits(shared):
-                    result |= comps[i]
-    return result
-
-
-def _bfs_distances(adj: tuple[int, ...], n: int, source: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        grown = 0
-        for w in _bits(frontier):
-            grown |= adj[w]
-        frontier = grown & ~seen
-        seen |= frontier
-        d += 1
-        for w in _bits(frontier):
-            dist[w] = d
-    return dist
+    _, hubs, two_sided = _qualifying_hubs(adj, n, u, v)
+    return 1 << u | 1 << v | adj[u] & adj[v] | hubs | two_sided
 
 
 def geodesic_interval(graph: Graph, u: int, v: int) -> VertexSet:
@@ -188,14 +166,19 @@ def geodesic_interval(graph: Graph, u: int, v: int) -> VertexSet:
 
 
 def _geodesic(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
-    du = _bfs_distances(adj, n, u)
-    dv = _bfs_distances(adj, n, v)
-    d = du[v]
-    mask = 0
-    for x in range(n):
-        if du[x] + dv[x] == d:
-            mask |= 1 << x
-    return mask
+    # breadth-first layers from u until v, then back: a vertex of layer i
+    # lies on a shortest path when it is adjacent to one in layer i + 1 that does
+    layers = []
+    frontier = seen = 1 << u
+    while not frontier >> v & 1:
+        layers.append(frontier)
+        frontier = neighbourhood(adj, frontier) & ~seen
+        seen |= frontier
+    result = back = 1 << v
+    for layer in reversed(layers):
+        back = layer & neighbourhood(adj, back)
+        result |= back
+    return result
 
 
 def monophonic_interval(graph: Graph, u: int, v: int) -> VertexSet:

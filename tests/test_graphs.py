@@ -7,6 +7,8 @@ from wtoll.graphs import (
     Graph6FormatError,
     VertexSet,
     complete_graph,
+    component_boundaries,
+    component_masks,
     cycle_graph,
     encode_edge_list,
     encode_graph6,
@@ -59,6 +61,27 @@ def test_connectivity_and_completeness():
     assert not two_pieces.is_connected()
     comps = two_pieces.connected_components()
     assert [sorted(c) for c in comps] == [[0, 1], [2, 3]]
+
+
+def test_adjacency_masks_are_checked():
+    for adj, message in (
+        ([2, 1 | 4], "adjacency of 1 mentions vertices >= 2"),
+        ([-1, 0], "adjacency of 0 mentions vertices >= 2"),
+        ([2, 3], "self-loop at vertex 1"),
+        ([2, 0], "asymmetric adjacency between 0 and 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(adj)
+
+
+def test_component_boundaries():
+    # the path 0-1-2-3-4-5-6 without 2 and 5: components {0, 1}, {3, 4}, {6}
+    adj = path_graph(7).adjacency_masks()
+    kept = 0b1011011
+    assert component_boundaries(adj, kept) == [(0b11, 0b100), (0b11000, 0b100100), (0b1000000, 0b100000)]
+    assert component_masks(adj, kept) == [0b11, 0b11000, 0b1000000]
+    assert component_boundaries(adj, 0) == []
+    assert component_boundaries(adj, 0b1111111) == [(0b1111111, 0)]
 
 
 def test_delete_vertices():

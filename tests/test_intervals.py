@@ -1,13 +1,19 @@
+import random
+
 import pytest
 
 from conftest import seeded_random_graphs, small_named_graphs
+from wtoll import intervals
 from wtoll.convexity import hull, is_convex, maximum_interval_pairs, wth, wtn
 from wtoll.graphs import (
     DisconnectedGraphError,
     Graph,
     VertexSet,
+    _bits,
+    component_masks,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     random_tree,
     two_clique_bridge,
 )
@@ -23,6 +29,7 @@ from wtoll.intervals import (
     weakly_toll_interval,
 )
 from wtoll.oracle import ORACLE_KINDS, oracle_interval
+from wtoll.verify import connected_graphs
 
 CLAW = Graph.from_edge_list(4, [(1, 0), (1, 2), (1, 3)])
 
@@ -54,6 +61,154 @@ def test_engine_matches_oracle_on_zoo(graph_zoo):
 def test_engine_matches_oracle_on_random_graphs():
     for g in seeded_random_graphs(24, sizes=(5, 6, 7, 8), base_seed=1200):
         _engine_vs_oracle(g)
+
+
+# -- the hub-pair reference ---------------------------------------------------
+#
+# The engines decide each hub once, from component boundaries.  The bodies
+# below reach the same masks by a slower, more literal route: they try every
+# pair of exclusive hubs against per-hub touch tables, and take geodesic
+# intervals as the vertices x with d(u, x) + d(x, v) = d(u, v).
+
+
+def _touch_tables(adj, comps, candidates: int):
+    """For each candidate hub, which base components its neighbours touch.
+
+    Returns two dicts keyed by hub vertex: a small bitmask over component
+    indices, and the union of the touched components' vertex masks.
+    """
+    touch_idx = {}
+    touch_mask = {}
+    for y in _bits(candidates):
+        idx = 0
+        mask = 0
+        for i, comp in enumerate(comps):
+            if adj[y] & comp:
+                idx |= 1 << i
+                mask |= comp
+        touch_idx[y] = idx
+        touch_mask[y] = mask
+    return touch_idx, touch_mask
+
+
+def _hub_split(adj: tuple[int, ...], n: int, u: int, v: int):
+    """For non-adjacent u, v: the components of G - (N[u] | N[v]), the touch
+    tables of the hubs N(u) | N(v), and the exclusive hubs (adjacent to u
+    only, and to v only)."""
+    nu, nv = adj[u], adj[v]
+    comps = component_masks(adj, (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v))
+    touch_idx, touch_mask = _touch_tables(adj, comps, nu | nv)
+    return comps, touch_idx, touch_mask, nu & ~nv, nv & ~nu
+
+
+def _pairwise_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
+    if adj[u] >> v & 1:
+        return 1 << u | 1 << v
+    _, touch_idx, touch_mask, only_u, only_v = _hub_split(adj, n, u, v)
+    result = 1 << u | 1 << v
+    for a in _bits(adj[u] & adj[v]):
+        result |= 1 << a | touch_mask[a]
+    for a in _bits(only_u):
+        for b in _bits(only_v):
+            if adj[a] >> b & 1 or touch_idx[a] & touch_idx[b]:
+                result |= 1 << a | 1 << b | touch_mask[a] | touch_mask[b]
+    return result
+
+
+def _pairwise_semi_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
+    comps = component_masks(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
+    touch_idx, touch_mask = _touch_tables(adj, comps, adj[u])
+    if adj[u] >> v & 1:
+        return 1 << u | 1 << v | touch_mask[v]
+    v_idx = next(1 << i for i, comp in enumerate(comps) if comp >> v & 1)
+    result = 1 << u
+    for a in _bits(adj[u]):
+        if touch_idx[a] & v_idx:
+            result |= 1 << a | touch_mask[a]
+    return result
+
+
+def _pairwise_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
+    if adj[u] >> v & 1:
+        return 1 << u | 1 << v
+    comps, touch_idx, _, only_u, only_v = _hub_split(adj, n, u, v)
+    result = 1 << u | 1 << v | adj[u] & adj[v]
+    for a in _bits(only_u):
+        for b in _bits(only_v):
+            if adj[a] >> b & 1:
+                result |= 1 << a | 1 << b
+            shared = touch_idx[a] & touch_idx[b]
+            if shared:
+                result |= 1 << a | 1 << b
+                for i in _bits(shared):
+                    result |= comps[i]
+    return result
+
+
+def _bfs_distances(adj: tuple[int, ...], n: int, source: int) -> list[int]:
+    dist = [-1] * n
+    dist[source] = 0
+    frontier = 1 << source
+    seen = frontier
+    d = 0
+    while frontier:
+        grown = 0
+        for w in _bits(frontier):
+            grown |= adj[w]
+        frontier = grown & ~seen
+        seen |= frontier
+        d += 1
+        for w in _bits(frontier):
+            dist[w] = d
+    return dist
+
+
+def _distance_geodesic(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
+    du = _bfs_distances(adj, n, u)
+    dv = _bfs_distances(adj, n, v)
+    d = du[v]
+    mask = 0
+    for x in range(n):
+        if du[x] + dv[x] == d:
+            mask |= 1 << x
+    return mask
+
+
+REFERENCE = {
+    IntervalKind.WEAKLY_TOLL: _pairwise_weakly_toll,
+    IntervalKind.SEMI_WEAKLY_TOLL: _pairwise_semi_weakly_toll,
+    IntervalKind.TOLL: _pairwise_toll,
+    IntervalKind.GEODESIC: _distance_geodesic,
+}
+
+
+def _engines_match_reference(graph, pairs):
+    adj, n = graph.adjacency_masks(), graph.n
+    for u, v in pairs:
+        for kind, reference in REFERENCE.items():
+            assert intervals._BODIES[kind](adj, n, u, v) == reference(adj, n, u, v), (
+                graph.edges(),
+                kind,
+                u,
+                v,
+            )
+
+
+def test_engines_match_pairwise_reference_through_six():
+    for k in range(2, 7):
+        for g in connected_graphs(k):
+            _engines_match_reference(g, [(u, v) for u in range(k) for v in range(k) if u != v])
+
+
+def test_engines_match_pairwise_reference_on_random_graphs():
+    rng = random.Random(1800)
+    for i, k in enumerate((7, 9, 12, 16, 24, 40, 60)):
+        for j, p in enumerate((0.1, 0.3, 0.6)):
+            g = random_connected_graph(k, p, 1800 + 3 * i + j)
+            pairs = [(u, v) for u in range(k) for v in range(k) if u != v]
+            if k > 24:
+                pairs = rng.sample(pairs, 400)
+            _engines_match_reference(g, pairs)
 
 
 # -- worked examples ---------------------------------------------------------
