@@ -122,23 +122,30 @@ def lex_interval_cross_layer(
     return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
 
 
-def lex_wtn(g: Graph, h: Graph) -> Prediction:
-    """Interval number of the lexicographic product: 2 when the second
-    factor has interval number 2, and 3 otherwise."""
-    rule = "lex-wtn-dichotomy"
+def _wtn_dichotomy(rule: str, g: Graph, h: Graph) -> Prediction:
+    """2 when the second factor has interval number 2, and 3 otherwise."""
     obstacle = _factor_obstacle(g, h)
     if obstacle:
         return Prediction.not_applicable("wtn", rule, obstacle)
     return Prediction("wtn", rule, True, value=2 if wtn(h)[0] == 2 else 3)
 
 
-def lex_wth(g: Graph, h: Graph) -> Prediction:
-    """Hull number of the lexicographic product is always 2."""
-    rule = "lex-hull-number"
+def _hull_number_two(rule: str, g: Graph, h: Graph) -> Prediction:
     obstacle = _factor_obstacle(g, h)
     if obstacle:
         return Prediction.not_applicable("wth", rule, obstacle)
     return Prediction("wth", rule, True, value=2)
+
+
+def lex_wtn(g: Graph, h: Graph) -> Prediction:
+    """Interval number of the lexicographic product: 2 when the second
+    factor has interval number 2, and 3 otherwise."""
+    return _wtn_dichotomy("lex-wtn-dichotomy", g, h)
+
+
+def lex_wth(g: Graph, h: Graph) -> Prediction:
+    """Hull number of the lexicographic product is always 2."""
+    return _hull_number_two("lex-hull-number", g, h)
 
 
 # -- corona product -------------------------------------------------------
@@ -229,20 +236,12 @@ def corona_interval_mixed(g: Graph, h: Graph, i: int, j: int, k: int) -> Predict
 def corona_wtn(g: Graph, h: Graph) -> Prediction:
     """Interval number of the corona product: the same 2/3 dichotomy on the
     attached factor."""
-    rule = "corona-wtn-dichotomy"
-    obstacle = _factor_obstacle(g, h)
-    if obstacle:
-        return Prediction.not_applicable("wtn", rule, obstacle)
-    return Prediction("wtn", rule, True, value=2 if wtn(h)[0] == 2 else 3)
+    return _wtn_dichotomy("corona-wtn-dichotomy", g, h)
 
 
 def corona_wth(g: Graph, h: Graph) -> Prediction:
     """Hull number of the corona product is always 2."""
-    rule = "corona-hull-number"
-    obstacle = _factor_obstacle(g, h)
-    if obstacle:
-        return Prediction.not_applicable("wth", rule, obstacle)
-    return Prediction("wth", rule, True, value=2)
+    return _hull_number_two("corona-hull-number", g, h)
 
 
 def generalized_corona_wtn(g: Graph, copies: Sequence[Graph]) -> Prediction:

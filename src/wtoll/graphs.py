@@ -2,8 +2,9 @@
 
 Vertices are always 0..n-1.  Adjacency is stored as one bitmask per vertex,
 which keeps neighbourhood and component queries cheap for the graph sizes
-this toolkit targets (factors up to ~10 vertices, products up to ~60).
-Graphs never change after construction, so they can be shared freely.
+this toolkit targets (factors up to ~10 vertices, products and random
+graphs up to a few hundred).  Graphs never change after construction, so
+they can be shared freely.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ class Graph:
     collapse, and adjacency is stored symmetrically.
     """
 
-    __slots__ = ("n", "_adj", "names")
+    __slots__ = ("n", "_adj")
 
-    def __init__(self, adj: Sequence[int], names: Sequence[str] | None = None):
+    def __init__(self, adj: Sequence[int]):
         n = len(adj)
         if n < 1:
             raise ValueError("a graph needs at least one vertex")
@@ -178,22 +179,14 @@ class Graph:
             for w in _bits(mask):
                 if adj[w] >> v & 1 == 0:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
-        if names is not None and len(names) != n:
-            raise ValueError("names must match the vertex count")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "names", tuple(names) if names is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
-    def from_edge_list(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        names: Sequence[str] | None = None,
-    ) -> "Graph":
+    def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -202,7 +195,7 @@ class Graph:
                 raise ValueError(f"self-loop ({u}, {u}) not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(adj, names)
+        return cls(adj)
 
     # -- basic queries -------------------------------------------------
 
@@ -236,10 +229,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
-
-    def name_of(self, v: int) -> str:
-        self._check_vertex(v)
-        return self.names[v] if self.names is not None else str(v)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -275,10 +264,9 @@ class Graph:
         for new, old in enumerate(kept):
             for w in _bits(self._adj[old] & ~removed.mask):
                 adj[new] |= 1 << index[w]
-        names = tuple(self.name_of(v) for v in kept) if self.names is not None else None
-        return Graph(adj, names), kept
+        return Graph(adj), kept
 
-    # -- equality is structural; display names do not participate ------
+    # -- equality is structural ------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -372,17 +360,24 @@ def random_connected_graph(k: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < p]
-    graph = Graph.from_edge_list(k, edges)
-    comps = graph.connected_components()
+    adj = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    comps = component_masks(adj, (1 << k) - 1)
     while len(comps) > 1:
         a, b = rng.sample(range(len(comps)), 2)
-        u = rng.choice(sorted(comps[a]))
-        v = rng.choice(sorted(comps[b]))
-        edges.append((u, v))
-        graph = Graph.from_edge_list(k, edges)
-        comps = graph.connected_components()
-    return graph
+        u = rng.choice(list(_bits(comps[a])))
+        v = rng.choice(list(_bits(comps[b])))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        # merging the later component into the earlier keeps the list
+        # ordered by smallest member, as a fresh sweep would give it
+        low, high = sorted((a, b))
+        comps[low] |= comps.pop(high)
+    return Graph(adj)
 
 
 # -- graph6 (nauty's formats.txt, n <= 258047) ---------------------------
@@ -402,10 +397,8 @@ def encode_graph6(graph: Graph) -> str:
     n = graph.n
     if n > _G6_MAX_N:
         raise Graph6FormatError(f"graph6 covers at most {_G6_MAX_N} vertices, got {n}")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if graph.adjacent(i, j) else 0)
+    adj = graph.adjacency_masks()
+    bits = [adj[j] >> i & 1 for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     if n <= 62:

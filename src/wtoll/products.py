@@ -31,9 +31,8 @@ class ProductGraph:
     """A constructed product together with its coordinate labelling.
 
     ``labels[x]`` is ``(g, h)`` for the pair products, and either
-    ``("base", i)`` or ``("copy", i, h)`` for the coronas.  The underlying
-    :class:`Graph` carries printable forms of the same labels as vertex
-    names, so exports stay readable.
+    ``("base", i)`` or ``("copy", i, h)`` for the coronas;
+    :meth:`label_string` gives their printable form.
     """
 
     __slots__ = ("graph", "kind", "factors", "labels", "_index")
@@ -115,41 +114,41 @@ class ProductGraph:
         return f"ProductGraph({self.kind.value}, n={self.graph.n})"
 
 
-def _pair_product(g: Graph, h: Graph, kind: ProductKind, rule) -> ProductGraph:
+def _pair_product(g: Graph, h: Graph, kind: ProductKind, across) -> ProductGraph:
+    """Vertex (a, b) is a * |V(H)| + b.  It sees N_H(b) in its own layer and
+    the mask ``across(b)`` in the layer of each G-neighbour of a; the
+    products differ only in ``across``."""
     m = h.n
+    own = h.adjacency_masks()
+    reach = [across(b) for b in range(m)]
+    adj = []
+    for a, near in enumerate(g.adjacency_masks()):
+        # one bit at the start of each G-neighbour's layer: multiplying an
+        # m-bit mask by it copies the mask into every such layer
+        layers = sum(1 << c * m for c in range(g.n) if near >> c & 1)
+        adj.extend(own[b] << a * m | reach[b] * layers for b in range(m))
     labels = tuple((a, b) for a in range(g.n) for b in range(m))
-    edges = []
-    for x, (g1, h1) in enumerate(labels):
-        for y in range(x + 1, len(labels)):
-            g2, h2 = labels[y]
-            if rule(g.adjacent(g1, g2), g1 == g2, h.adjacent(h1, h2), h1 == h2):
-                edges.append((x, y))
-    names = tuple(f"({a},{b})" for a, b in labels)
-    return ProductGraph(Graph.from_edge_list(len(labels), edges, names), kind, (g, h), labels)
+    return ProductGraph(Graph(adj), kind, (g, h), labels)
 
 
 def lexicographic(g: Graph, h: Graph) -> ProductGraph:
-    """(g1,h1) ~ (g2,h2) iff g1g2 is an edge, or g1 = g2 and h1h2 is an edge."""
-    return _pair_product(
-        g, h, ProductKind.LEXICOGRAPHIC, lambda ge, gs, he, hs: ge or (gs and he)
-    )
+    """(g1,h1) ~ (g2,h2) iff g1g2 is an edge, or g1 = g2 and h1h2 is an edge:
+    across(b) is all of V(H)."""
+    full = (1 << h.n) - 1
+    return _pair_product(g, h, ProductKind.LEXICOGRAPHIC, lambda b: full)
 
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:
-    """(g1,h1) ~ (g2,h2) iff exactly one coordinate moves along an edge."""
-    return _pair_product(
-        g, h, ProductKind.CARTESIAN, lambda ge, gs, he, hs: (ge and hs) or (gs and he)
-    )
+    """(g1,h1) ~ (g2,h2) iff exactly one coordinate moves along an edge:
+    across(b) is {b}."""
+    return _pair_product(g, h, ProductKind.CARTESIAN, lambda b: 1 << b)
 
 
 def strong(g: Graph, h: Graph) -> ProductGraph:
-    """Cartesian edges plus the diagonal steps where both coordinates move."""
-    return _pair_product(
-        g,
-        h,
-        ProductKind.STRONG,
-        lambda ge, gs, he, hs: (ge and hs) or (gs and he) or (ge and he),
-    )
+    """Cartesian edges plus the diagonal steps where both coordinates move:
+    across(b) is N_H[b]."""
+    own = h.adjacency_masks()
+    return _pair_product(g, h, ProductKind.STRONG, lambda b: own[b] | 1 << b)
 
 
 def generalized_corona(g: Graph, copies: Sequence[Graph]) -> ProductGraph:
@@ -157,19 +156,13 @@ def generalized_corona(g: Graph, copies: Sequence[Graph]) -> ProductGraph:
     if len(copies) != g.n:
         raise ValueError(f"need exactly {g.n} attached graphs, got {len(copies)}")
     labels: list = [("base", i) for i in range(g.n)]
+    adj = list(g.adjacency_masks())
     for i, copy in enumerate(copies):
+        start = len(adj)
         labels.extend(("copy", i, h) for h in range(copy.n))
-    index = {label: x for x, label in enumerate(labels)}
-    edges = [(index[("base", a)], index[("base", b)]) for a, b in g.edges()]
-    for i, copy in enumerate(copies):
-        edges.extend(
-            (index[("copy", i, a)], index[("copy", i, b)]) for a, b in copy.edges()
-        )
-        edges.extend((index[("base", i)], index[("copy", i, h)]) for h in range(copy.n))
-    names = []
-    for label in labels:
-        names.append(f"g_{label[1]}" if label[0] == "base" else f"h_{label[2]}^{label[1]}")
-    graph = Graph.from_edge_list(len(labels), edges, names)
+        adj[i] |= (1 << copy.n) - 1 << start
+        adj.extend(mask << start | 1 << i for mask in copy.adjacency_masks())
+    graph = Graph(adj)
     identical = all(copy is copies[0] or copy == copies[0] for copy in copies)
     if identical:
         return ProductGraph(graph, ProductKind.CORONA, (g, copies[0]), tuple(labels))
@@ -205,7 +198,7 @@ def to_dot(item: ProductGraph | Graph, name: str = "G") -> str:
     graph = item.graph if isinstance(item, ProductGraph) else item
     lines = [f"graph {name} {{"]
     for v in range(graph.n):
-        label = item.label_string(v) if isinstance(item, ProductGraph) else graph.name_of(v)
+        label = item.label_string(v) if isinstance(item, ProductGraph) else v
         lines.append(f'  {v} [label="{label}"];')
     for u, v in graph.edges():
         lines.append(f"  {u} -- {v};")

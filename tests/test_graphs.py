@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -125,6 +126,19 @@ def test_random_connected_graph_deterministic():
     b = random_connected_graph(8, 0.3, 11)
     assert a == b and a.is_connected()
     assert random_connected_graph(8, 0.0, 5).is_connected()
+
+
+def test_random_connected_graph_pinned():
+    # 738 (k, p, seed) triples, edgeless samples included; the benchmark and
+    # other tests draw their graphs from this generator, so its output is pinned
+    text = "".join(
+        encode_edge_list(random_connected_graph(k, p, seed))
+        for k in [*range(1, 41), 120]
+        for p in (0.0, 0.05, 0.1, 0.3, 0.6, 1.0)
+        for seed in (1, 2, 3)
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "3cd3821b1d5f957a69f8e6975c9409aa353dad1ba11435b72fbd81e28f6818f4"
 
 
 # -- graph6 --------------------------------------------------------------

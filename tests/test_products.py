@@ -1,8 +1,11 @@
+from typing import Sequence
+
 import pytest
 
 from conftest import seeded_random_graphs
-from wtoll.graphs import Graph, complete_graph, path_graph
+from wtoll.graphs import Graph, complete_graph, cycle_graph, path_graph
 from wtoll.products import (
+    ProductGraph,
     ProductKind,
     build,
     cartesian,
@@ -12,6 +15,7 @@ from wtoll.products import (
     strong,
     to_dot,
 )
+from wtoll.verify import connected_graphs
 
 
 def test_lexicographic_complete_factors():
@@ -27,8 +31,6 @@ def test_lexicographic_counts():
 
 
 def test_cartesian_square_is_four_cycle():
-    from wtoll.graphs import cycle_graph
-
     p = cartesian(complete_graph(2), complete_graph(2))
     assert p.graph.n == 4 and p.graph.edge_count == 4
     assert all(p.graph.degree(v) == 2 for v in range(4))
@@ -152,6 +154,8 @@ def test_dot_export_labels():
     text = to_dot(corona(path_graph(2), path_graph(2)))
     assert 'label="g_0"' in text and 'label="h_1^1"' in text
     assert to_dot(path_graph(2)).startswith("graph G {")
+    # a bare product graph carries no labels: its DOT text shows vertex ids
+    assert '  3 [label="3"];' in to_dot(corona(path_graph(2), path_graph(2)).graph)
 
 
 def test_build_dispatch():
@@ -163,3 +167,82 @@ def test_build_dispatch():
         build("generalized-corona", path_graph(2), path_graph(2))
     with pytest.raises(ValueError):
         build("corona", path_graph(2), [path_graph(2)])
+
+
+# -- reference builders: the edge-rule constructions that the adjacency-mask
+# builders replaced, kept word for word except that Graph no longer takes
+# vertex names ---------------------------------------------------------------
+
+
+def _reference_pair_product(g: Graph, h: Graph, kind: ProductKind, rule) -> ProductGraph:
+    m = h.n
+    labels = tuple((a, b) for a in range(g.n) for b in range(m))
+    edges = []
+    for x, (g1, h1) in enumerate(labels):
+        for y in range(x + 1, len(labels)):
+            g2, h2 = labels[y]
+            if rule(g.adjacent(g1, g2), g1 == g2, h.adjacent(h1, h2), h1 == h2):
+                edges.append((x, y))
+    return ProductGraph(Graph.from_edge_list(len(labels), edges), kind, (g, h), labels)
+
+
+_REFERENCE_RULES = {
+    lexicographic: (ProductKind.LEXICOGRAPHIC, lambda ge, gs, he, hs: ge or (gs and he)),
+    cartesian: (ProductKind.CARTESIAN, lambda ge, gs, he, hs: (ge and hs) or (gs and he)),
+    strong: (
+        ProductKind.STRONG,
+        lambda ge, gs, he, hs: (ge and hs) or (gs and he) or (ge and he),
+    ),
+}
+
+
+def _reference_generalized_corona(g: Graph, copies: Sequence[Graph]) -> ProductGraph:
+    labels: list = [("base", i) for i in range(g.n)]
+    for i, copy in enumerate(copies):
+        labels.extend(("copy", i, h) for h in range(copy.n))
+    index = {label: x for x, label in enumerate(labels)}
+    edges = [(index[("base", a)], index[("base", b)]) for a, b in g.edges()]
+    for i, copy in enumerate(copies):
+        edges.extend(
+            (index[("copy", i, a)], index[("copy", i, b)]) for a, b in copy.edges()
+        )
+        edges.extend((index[("base", i)], index[("copy", i, h)]) for h in range(copy.n))
+    graph = Graph.from_edge_list(len(labels), edges)
+    identical = all(copy is copies[0] or copy == copies[0] for copy in copies)
+    if identical:
+        return ProductGraph(graph, ProductKind.CORONA, (g, copies[0]), tuple(labels))
+    return ProductGraph(graph, ProductKind.GENERALIZED_CORONA, (g, *copies), tuple(labels))
+
+
+def _same_product(got: ProductGraph, want: ProductGraph) -> None:
+    assert got.graph == want.graph
+    assert got.labels == want.labels
+    assert got.kind is want.kind
+    assert got.factors == want.factors
+
+
+def _factor_pairs():
+    small = [g for n in range(1, 5) for g in connected_graphs(n)]
+    yield from ((g, h) for g in small for h in small)
+    seeded = seeded_random_graphs(60, sizes=(5, 6, 7, 8), base_seed=2700)
+    yield from zip(seeded[::2], seeded[1::2])
+
+
+def test_pair_products_match_edge_rule_reference():
+    for g, h in _factor_pairs():
+        for make, (kind, rule) in _REFERENCE_RULES.items():
+            _same_product(make(g, h), _reference_pair_product(g, h, kind, rule))
+        _same_product(corona(g, h), _reference_generalized_corona(g, [h] * g.n))
+
+
+def test_generalized_corona_matches_edge_list_reference():
+    pool = [complete_graph(1), complete_graph(2), path_graph(3), cycle_graph(4), path_graph(4)]
+    pool += seeded_random_graphs(6, sizes=(5, 6), base_seed=2800)
+    for n in range(1, 6):
+        for g in (path_graph(n), complete_graph(n)):
+            for shift in range(len(pool)):
+                copies = [pool[(shift + 3 * i) % len(pool)] for i in range(n)]
+                got = generalized_corona(g, copies)
+                _same_product(got, _reference_generalized_corona(g, copies))
+    lone = generalized_corona(path_graph(3), [complete_graph(1)] * 3)
+    assert lone.kind is ProductKind.CORONA and lone.graph.edge_count == 2 + 3
