@@ -7,6 +7,11 @@ and the Cartesian/strong corollaries.  The predictions use the factor-level
 engines as sub-computations, while the verification harness compares them
 against the product-level engine, so nothing is checked against itself.
 
+The interval rules build no product: they place factor masks at the
+vertex numbering that :mod:`wtoll.products` owns and documents.  With
+m = |V(H)|, lexicographic layer a starts at a·m; corona base vertex i is i,
+and copy i starts at |V(G)| + i·m.
+
 A prediction whose hypotheses fail (factor complete, endpoints adjacent,
 and so on) comes back with ``applicable=False`` and a reason instead of a
 guessed value.
@@ -20,7 +25,6 @@ from typing import Sequence
 from .convexity import wtn
 from .graphs import Graph, VertexSet
 from .intervals import semi_weakly_toll_interval, weakly_toll_interval
-from .products import corona, lexicographic
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,12 @@ class Prediction:
         return cls(target=target, rule=rule, applicable=False, reason=reason)
 
 
-def _factor_obstacle(g: Graph, h: Graph) -> str | None:
-    """Why (g, h) fails the standing hypotheses, or None if admissible."""
+def _factor_obstacle(g: Graph, h: Graph, g_vertices=(), h_vertices=()) -> str | None:
+    """Range-check the given coordinates in each factor, then say why (g, h)
+    fails the standing hypotheses, or None if admissible."""
+    for graph, vertices in ((g, g_vertices), (h, h_vertices)):
+        for v in vertices:
+            graph._check_vertex(v)
     for name, graph in (("first factor", g), ("second factor", h)):
         if not graph.is_connected():
             return f"{name} is disconnected"
@@ -54,29 +62,25 @@ def _factor_obstacle(g: Graph, h: Graph) -> str | None:
     return None
 
 
-def _one_copy_interval(rule, g, h, gv, h1, h2, adjacent_reason, build, index) -> Prediction:
+def _interval(rule: str, n: int, mask: int) -> Prediction:
+    return Prediction("interval", rule, True, vertex_set=VertexSet(n, mask))
+
+
+def _one_copy_interval(rule, g, h, gv, h1, h2, adjacent_reason, n, start) -> Prediction:
     """Interval between two vertices of the copy of H at ``gv`` (a lex layer
-    or a corona copy): everything except the copy's vertices outside the
-    factor interval that see exactly one endpoint.  ``index(product, x)``
-    places vertex x of that copy in the product."""
-    g._check_vertex(gv)
-    h._check_vertex(h1)
-    h._check_vertex(h2)
-    obstacle = _factor_obstacle(g, h)
+    or a corona copy) that starts at vertex ``start`` of the n-vertex
+    product: everything except the copy's vertices outside the factor
+    interval that see exactly one endpoint."""
+    obstacle = _factor_obstacle(g, h, (gv,), (h1, h2))
     if obstacle:
         return Prediction.not_applicable("interval", rule, obstacle)
     if h1 == h2:
         return Prediction.not_applicable("interval", rule, "endpoints coincide")
     if h.adjacent(h1, h2):
         return Prediction.not_applicable("interval", rule, adjacent_reason)
-    product = build(g, h)
-    inner = weakly_toll_interval(h, h1, h2)
-    removed = 0
-    for x in range(h.n):
-        if x not in inner and h.adjacent(x, h1) != h.adjacent(x, h2):
-            removed |= 1 << index(product, x)
-    mask = (1 << product.graph.n) - 1 & ~removed
-    return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
+    near = h.adjacency_masks()
+    removed = (near[h1] ^ near[h2]) & ~weakly_toll_interval(h, h1, h2).mask
+    return _interval(rule, n, (1 << n) - 1 & ~(removed << start))
 
 
 # -- lexicographic product ----------------------------------------------
@@ -87,7 +91,7 @@ def lex_interval_same_layer(g: Graph, h: Graph, gv: int, h1: int, h2: int) -> Pr
     vertices outside the factor interval that see exactly one endpoint."""
     return _one_copy_interval(
         "lex-same-layer-interval", g, h, gv, h1, h2, "endpoints adjacent in second factor",
-        lexicographic, lambda product, x: product.pair_index(gv, x),
+        g.n * h.n, gv * h.n,
     )
 
 
@@ -98,28 +102,16 @@ def lex_interval_cross_layer(
     the factor interval times V(H), minus the two endpoint layer
     neighbourhoods."""
     rule = "lex-cross-layer-interval"
-    g._check_vertex(g1)
-    g._check_vertex(g2)
-    h._check_vertex(h1)
-    h._check_vertex(h2)
-    obstacle = _factor_obstacle(g, h)
+    obstacle = _factor_obstacle(g, h, (g1, g2), (h1, h2))
     if obstacle:
         return Prediction.not_applicable("interval", rule, obstacle)
     if g1 == g2 or g.adjacent(g1, g2):
         return Prediction.not_applicable("interval", rule, "first coordinates not non-adjacent")
     if h1 == h2 or h.adjacent(h1, h2):
         return Prediction.not_applicable("interval", rule, "second coordinates not non-adjacent")
-    product = lexicographic(g, h)
-    base = weakly_toll_interval(g, g1, g2)
-    mask = 0
-    for gv in base:
-        for hv in range(h.n):
-            mask |= 1 << product.pair_index(gv, hv)
-    for y in h.neighbors(h1):
-        mask &= ~(1 << product.pair_index(g1, y))
-    for y in h.neighbors(h2):
-        mask &= ~(1 << product.pair_index(g2, y))
-    return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
+    m, near = h.n, h.adjacency_masks()
+    mask = sum((1 << m) - 1 << a * m for a in weakly_toll_interval(g, g1, g2))
+    return _interval(rule, g.n * m, mask & ~(near[h1] << g1 * m | near[h2] << g2 * m))
 
 
 def _wtn_dichotomy(rule: str, g: Graph, h: Graph) -> Prediction:
@@ -151,11 +143,20 @@ def lex_wth(g: Graph, h: Graph) -> Prediction:
 # -- corona product -------------------------------------------------------
 
 
+def _corona_interior(g: Graph, h: Graph, base: VertexSet, i: int, j: int) -> int:
+    """The vertices of ``base`` but i and j, each with its full copy of H."""
+    full, mask = (1 << h.n) - 1, 0
+    for x in base:
+        if x != i and x != j:
+            mask |= 1 << x | full << g.n + x * h.n
+    return mask
+
+
 def corona_interval_same_copy(g: Graph, h: Graph, i: int, h1: int, h2: int) -> Prediction:
     """Interval between two non-adjacent vertices of one attached copy."""
     return _one_copy_interval(
         "corona-same-copy-interval", g, h, i, h1, h2, "endpoints adjacent in the copy",
-        corona, lambda product, x: product.copy_index(i, x),
+        g.n * (1 + h.n), g.n + i * h.n,
     )
 
 
@@ -163,44 +164,27 @@ def corona_interval_cross_copies(g: Graph, h: Graph, i: int, k: int, j: int, l: 
     """Interval between vertices of two different copies: everything except
     the copy-internal neighbourhoods of the endpoints."""
     rule = "corona-cross-copy-interval"
-    g._check_vertex(i)
-    g._check_vertex(j)
-    h._check_vertex(k)
-    h._check_vertex(l)
-    obstacle = _factor_obstacle(g, h)
+    obstacle = _factor_obstacle(g, h, (i, j), (k, l))
     if obstacle:
         return Prediction.not_applicable("interval", rule, obstacle)
     if i == j:
         return Prediction.not_applicable("interval", rule, "endpoints share a copy")
-    product = corona(g, h)
-    removed = 0
-    for y in h.neighbors(k):
-        removed |= 1 << product.copy_index(i, y)
-    for y in h.neighbors(l):
-        removed |= 1 << product.copy_index(j, y)
-    mask = (1 << product.graph.n) - 1 & ~removed
-    return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
+    n, near = g.n * (1 + h.n), h.adjacency_masks()
+    removed = near[k] << g.n + i * h.n | near[l] << g.n + j * h.n
+    return _interval(rule, n, (1 << n) - 1 & ~removed)
 
 
 def corona_interval_base_pair(g: Graph, h: Graph, i: int, j: int) -> Prediction:
     """Interval between two base vertices: the factor interval plus the full
     copies hanging off its interior vertices."""
     rule = "corona-base-pair-interval"
-    g._check_vertex(i)
-    g._check_vertex(j)
-    obstacle = _factor_obstacle(g, h)
+    obstacle = _factor_obstacle(g, h, (i, j))
     if obstacle:
         return Prediction.not_applicable("interval", rule, obstacle)
     if i == j:
         return Prediction.not_applicable("interval", rule, "endpoints coincide")
-    product = corona(g, h)
-    base = weakly_toll_interval(g, i, j)
-    mask = 0
-    for x in base:
-        mask |= 1 << product.base_index(x)
-        if x != i and x != j:
-            mask |= product.copy_set(x).mask
-    return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
+    mask = 1 << i | 1 << j | _corona_interior(g, h, weakly_toll_interval(g, i, j), i, j)
+    return _interval(rule, g.n * (1 + h.n), mask)
 
 
 def corona_interval_mixed(g: Graph, h: Graph, i: int, j: int, k: int) -> Prediction:
@@ -212,25 +196,15 @@ def corona_interval_mixed(g: Graph, h: Graph, i: int, j: int, k: int) -> Predict
     base factor.
     """
     rule = "corona-mixed-pair-interval"
-    g._check_vertex(i)
-    g._check_vertex(j)
-    h._check_vertex(k)
-    obstacle = _factor_obstacle(g, h)
+    obstacle = _factor_obstacle(g, h, (i, j), (k,))
     if obstacle:
         return Prediction.not_applicable("interval", rule, obstacle)
-    product = corona(g, h)
+    n, start = g.n * (1 + h.n), g.n + j * h.n
     if i == j:
-        mask = 1 << product.base_index(i) | 1 << product.copy_index(i, k)
-        return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
-    one_sided = semi_weakly_toll_interval(g, i, j)
-    mask = 1 << product.base_index(i) | 1 << product.base_index(j)
-    mask |= product.copy_set(j).mask
-    for y in h.neighbors(k):
-        mask &= ~(1 << product.copy_index(j, y))
-    for x in one_sided:
-        if x != i and x != j:
-            mask |= 1 << product.base_index(x) | product.copy_set(x).mask
-    return Prediction("interval", rule, True, vertex_set=VertexSet(product.graph.n, mask))
+        return _interval(rule, n, 1 << i | 1 << start + k)
+    interior = _corona_interior(g, h, semi_weakly_toll_interval(g, i, j), i, j)
+    in_copy = (1 << h.n) - 1 & ~h.adjacency_masks()[k]
+    return _interval(rule, n, 1 << i | 1 << j | in_copy << start | interior)
 
 
 def corona_wtn(g: Graph, h: Graph) -> Prediction:

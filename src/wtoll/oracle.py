@@ -125,9 +125,7 @@ _CHECKERS = {
 # -- memoised walk-state search -----------------------------------------
 
 
-def _state_lengths(
-    starts, transitions, finished, budget: int, n: int, u: int, v: int
-) -> dict[int, int]:
+def _state_lengths(starts, transitions, finished, budget: int, u: int, v: int) -> dict[int, int]:
     """Shared scaffolding: min edges to reach each state (forward) and to
     complete a walk from it (backward).  Returns, for every vertex some
     state of which splits a valid walk within budget, the fewest edges of
@@ -177,9 +175,7 @@ def _state_lengths(
     return lengths
 
 
-def _weakly_toll_lengths(
-    adj: list[set[int]], n: int, u: int, v: int, budget: int
-) -> dict[int, int]:
+def _weakly_toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> dict[int, int]:
     nu, nv = adj[u], adj[v]
     b0 = u if u in nv else -1
 
@@ -207,12 +203,10 @@ def _weakly_toll_lengths(
     def finished(fwd):
         return [(state, 0) for state in fwd if state[0] == v]
 
-    return _state_lengths(starts, transitions, finished, budget, n, u, v)
+    return _state_lengths(starts, transitions, finished, budget, u, v)
 
 
-def _semi_weakly_toll_lengths(
-    adj: list[set[int]], n: int, u: int, v: int, budget: int
-) -> dict[int, int]:
+def _semi_weakly_toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> dict[int, int]:
     nu = adj[u]
 
     def transitions(state):
@@ -227,12 +221,10 @@ def _semi_weakly_toll_lengths(
     def finished(fwd):
         return [(state, 0) for state in fwd if state[0] == v]
 
-    return _state_lengths(starts, transitions, finished, budget, n, u, v)
+    return _state_lengths(starts, transitions, finished, budget, u, v)
 
 
-def _toll_lengths(
-    adj: list[set[int]], n: int, u: int, v: int, budget: int
-) -> dict[int, int]:
+def _toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> dict[int, int]:
     nu, nv = adj[u], adj[v]
     if v in nu:
         # a longer walk would place v at a position other than 1 while v is
@@ -255,7 +247,7 @@ def _toll_lengths(
         # one more edge hops from the penultimate vertex onto v
         return [(state, 1) for state in fwd if state[1] == LAST]
 
-    return _state_lengths(starts, transitions, finished, budget, n, u, v)
+    return _state_lengths(starts, transitions, finished, budget, u, v)
 
 
 _BUILDERS = {
@@ -295,7 +287,7 @@ def witness_lengths(
     max_len = _as_budget(graph, budget)
     adj = _neighbour_sets(graph)
     build = _BUILDERS[kind]
-    return ({u: 0} if u == v else build(adj, graph.n, u, v, max_len) for u, v in pairs)
+    return ({u: 0} if u == v else build(adj, u, v, max_len) for u, v in pairs)
 
 
 def oracle_interval(

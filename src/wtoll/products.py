@@ -52,16 +52,20 @@ class ProductGraph:
     def pair_index(self, g: int, h: int) -> int:
         if self.kind not in PAIR_KINDS:
             raise ValueError(f"{self.kind.value} product has no (g, h) coordinates")
+        self.factors[0]._check_vertex(g)
+        self.factors[1]._check_vertex(h)
         return self._index[(g, h)]
 
     def base_index(self, i: int) -> int:
         if self.kind not in CORONA_KINDS:
             raise ValueError(f"{self.kind.value} product has no base vertices")
+        self.factors[0]._check_vertex(i)
         return self._index[("base", i)]
 
     def copy_index(self, i: int, h: int) -> int:
         if self.kind not in CORONA_KINDS:
             raise ValueError(f"{self.kind.value} product has no attached copies")
+        self._copy_factor(i)._check_vertex(h)
         return self._index[("copy", i, h)]
 
     def project_first(self, x: int) -> int:
@@ -97,10 +101,14 @@ class ProductGraph:
         """All vertices of the copy attached to base vertex i."""
         if self.kind not in CORONA_KINDS:
             raise ValueError(f"{self.kind.value} product has no attached copies")
-        copy_factor = self.factors[1] if self.kind is ProductKind.CORONA else self.factors[1 + i]
         return VertexSet.from_iterable(
-            self.graph.n, (self.copy_index(i, h) for h in range(copy_factor.n))
+            self.graph.n, (self.copy_index(i, h) for h in range(self._copy_factor(i).n))
         )
+
+    def _copy_factor(self, i: int) -> Graph:
+        """The graph attached to base vertex i, after checking i."""
+        self.factors[0]._check_vertex(i)
+        return self.factors[1] if self.kind is ProductKind.CORONA else self.factors[1 + i]
 
     def label_string(self, x: int) -> str:
         label = self.labels[x]

@@ -671,11 +671,12 @@ _CHAIN = (
 
 
 def _chain_failures(g: Graph):
-    for bits in range(1 << g.n):
-        subset = VertexSet(g.n, bits)
-        flags = [is_convex(g, subset, kind) for kind in _CHAIN]
-        for pos in range(len(flags) - 1):
-            if flags[pos] and not flags[pos + 1]:
+    # kinds on the outside, so each kind's pair table is built once per graph
+    subsets = [VertexSet(g.n, bits) for bits in range(1 << g.n)]
+    flags = [[is_convex(g, subset, kind) for subset in subsets] for kind in _CHAIN]
+    for bits, subset in enumerate(subsets):
+        for pos in range(len(_CHAIN) - 1):
+            if flags[pos][bits] and not flags[pos + 1][bits]:
                 yield {
                     "subset": _vs(subset),
                     "convex_under": _CHAIN[pos].value,

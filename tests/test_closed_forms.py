@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import seeded_random_graphs
@@ -20,7 +22,9 @@ from wtoll.convexity import wtn
 from wtoll.graphs import complete_graph, path_graph, two_clique_bridge
 from wtoll.intervals import IntervalKind, weakly_toll_interval
 from wtoll.oracle import oracle_interval
+from wtoll import products
 from wtoll.products import corona, lexicographic
+from wtoll.verify import connected_graphs
 
 P3 = path_graph(3)
 BRIDGE = two_clique_bridge(3)
@@ -202,3 +206,43 @@ def test_predictions_are_pure():
         first = lex_interval_same_layer(g, BRIDGE, 0, 1, 4)
         second = lex_interval_same_layer(g, BRIDGE, 0, 1, 4)
         assert first == second
+
+
+def _interval_cases(g, h):
+    """Every coordinate tuple of the six interval rules on (g, h), each with
+    the product graph and the vertex pair it names there."""
+    lex, cor = lexicographic(g, h), corona(g, h)
+    pair, base, copy = lex.pair_index, cor.base_index, cor.copy_index
+    G, H = range(g.n), range(h.n)
+    for gv, h1, h2 in itertools.product(G, H, H):
+        yield lex_interval_same_layer, (gv, h1, h2), lex, pair(gv, h1), pair(gv, h2)
+        yield corona_interval_same_copy, (gv, h1, h2), cor, copy(gv, h1), copy(gv, h2)
+    for g1, h1, g2, h2 in itertools.product(G, H, G, H):
+        yield lex_interval_cross_layer, (g1, h1, g2, h2), lex, pair(g1, h1), pair(g2, h2)
+        yield corona_interval_cross_copies, (g1, h1, g2, h2), cor, copy(g1, h1), copy(g2, h2)
+    for i, j in itertools.product(G, G):
+        yield corona_interval_base_pair, (i, j), cor, base(i), base(j)
+        for k in H:
+            yield corona_interval_mixed, (i, j, k), cor, base(i), copy(j, k)
+
+
+def test_interval_rules_match_engine_without_building_products(monkeypatch):
+    # every connected non-complete graph on 3 and 4 vertices, as either factor
+    factors = [g for n in (3, 4) for g in connected_graphs(n) if not g.is_complete()]
+    assert len(factors) == 6
+    cases = [case for g in factors for h in factors for case in _interval_cases(g, h)]
+
+    def refuse(*args):
+        raise AssertionError("a closed-form interval rule built a product")
+
+    monkeypatch.setattr(products, "_pair_product", refuse)
+    monkeypatch.setattr(products, "generalized_corona", refuse)
+    checked = 0
+    for rule, coordinates, product, a, b in cases:
+        g, h = product.factors
+        pred = rule(g, h, *coordinates)
+        if pred.applicable:
+            engine = weakly_toll_interval(product.graph, a, b)
+            assert pred.vertex_set == engine, (rule.__name__, coordinates)
+            checked += 1
+    assert checked == 9997

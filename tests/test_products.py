@@ -146,6 +146,19 @@ def test_projections_and_order():
         corona(path_graph(2), path_graph(2)).pair_index(0, 0)
     with pytest.raises(ValueError):
         p.base_index(0)
+    # out-of-range coordinates are refused per factor, not looked up
+    gc = generalized_corona(path_graph(2), [path_graph(2), path_graph(3)])
+    assert gc.copy_index(1, 2) == 6
+    for lookup in (
+        lambda: p.pair_index(0, 9),
+        lambda: p.pair_index(3, 0),
+        lambda: p.pair_index(-1, 1),
+        lambda: gc.base_index(2),
+        lambda: gc.copy_index(2, 0),
+        lambda: gc.copy_index(0, 2),
+    ):
+        with pytest.raises(ValueError, match="out of range"):
+            lookup()
 
 
 def test_dot_export_labels():
