@@ -267,7 +267,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("WTOLL_LOG_LEVEL", "WARNING"))
+    name = os.environ.get("WTOLL_LOG_LEVEL", "WARNING")
+    level = logging.getLevelName(name.upper())  # the number, for a known name
+    if not isinstance(level, int):
+        print(f"error: WTOLL_LOG_LEVEL={name!r} is not one of DEBUG, INFO, WARNING, ERROR, CRITICAL",
+              file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level)
     parser = make_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":

@@ -1,10 +1,11 @@
 """Immutable simple undirected graphs with dense integer vertex ids.
 
-Vertices are always 0..n-1.  Adjacency is stored as one bitmask per vertex,
-which keeps neighbourhood and component queries cheap for the graph sizes
-this toolkit targets (factors up to ~10 vertices, products and random
-graphs up to a few hundred).  Graphs never change after construction, so
-they can be shared freely.
+Vertices are always 0..n-1.  Adjacency is one bitmask per vertex, which
+keeps neighbourhood and component queries cheap at the sizes this toolkit
+targets (factors up to ~10 vertices, products and random graphs up to a few
+hundred).  Graphs never change after construction, so each keeps what it
+derives (connectivity, pair-interval tables), computed lazily and
+idempotently, and graphs stay safe to share across threads.
 """
 
 from __future__ import annotations
@@ -161,10 +162,11 @@ class Graph:
 
     Construct through :meth:`from_edge_list`, the generators below, or the
     graph6 / edge-list parsers.  Self-loops are rejected, duplicate edges
-    collapse, and adjacency is stored symmetrically.
+    collapse, and adjacency is stored symmetrically.  Derived facts are kept
+    in ``_derived``, keyed by name or interval kind; equality ignores them.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_derived")
 
     def __init__(self, adj: Sequence[int]):
         n = len(adj)
@@ -181,6 +183,7 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -241,7 +244,9 @@ class Graph:
         return [VertexSet(self.n, comp) for comp in component_masks(self._adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
-        return len(component_boundaries(self._adj, (1 << self.n) - 1)) == 1
+        if "connected" not in self._derived:
+            self._derived["connected"] = len(component_boundaries(self._adj, (1 << self.n) - 1)) == 1
+        return self._derived["connected"]
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2

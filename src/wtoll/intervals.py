@@ -19,16 +19,15 @@ O(#components + deg u + deg v) mask operations per vertex pair.  Module
 ``oracle`` recomputes the same sets by direct walk enumeration, and the test
 suite keeps both in exact agreement over an exhaustive small-graph corpus.
 
-Each public call checks its graph once.  ``interval``, which the five named
-engines call, checks one query; ``pair_intervals`` checks a graph for a
-lazily filled table of all its pairs, which closures, hulls, convexity tests
-and the subset searches read, and keeps the last two tables for the next
-call on the same graph.  The engine bodies themselves never check.
+Each public call checks its graph, whose connectivity is swept once and kept.
+``interval``, which the five named engines call, checks one query;
+``pair_intervals`` checks a graph for a lazily filled table of all its pairs,
+which closures, hulls, convexity tests and the subset searches read, and the
+graph keeps it, one table per kind.  The engine bodies themselves never check.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from typing import Callable
 
@@ -265,34 +264,19 @@ class PairIntervals:
         return self._masks
 
 
-#: How many tables ``pair_intervals`` keeps, most recently used last.  Two,
-#: because ``closed_forms.lex_wtn`` and ``corona_wtn`` read a factor's table
-#: between ``wtn`` and ``wth`` of the product.
-TABLE_CACHE_SIZE = 2
-_TABLES: dict[tuple[Graph, IntervalKind], PairIntervals] = {}
-_TABLES_LOCK = threading.Lock()
-
-
 def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) -> PairIntervals:
-    """The pair-interval table of a connected graph, checked here once for
-    all its pairs; ``what`` names the operation in the error and defaults
-    to the interval kind.
-
-    The last ``TABLE_CACHE_SIZE`` tables are kept, keyed ``(graph, kind)``,
-    so a second call on the same graph reuses the pairs the first one
-    computed and skips the check.  A disconnected graph is never kept.
-    """
+    """The pair-interval table of a connected graph, checked once for all its
+    pairs; ``what`` names the operation in the error and defaults to the
+    interval kind.  The graph keeps its table of each kind, so later calls
+    reuse the pairs computed so far and skip the check.  A disconnected
+    graph raises on every call and never gets a table."""
     kind = IntervalKind(kind)
-    key = (graph, kind)
-    with _TABLES_LOCK:
-        table = _TABLES.pop(key, None)
-        if table is None:
-            require_connected(graph, what or f"{kind.value.replace('-', ' ')} interval")
-            adj, n, body = graph.adjacency_masks(), graph.n, _BODIES[kind]
-            table = PairIntervals(n, kind, lambda u, v: body(adj, n, u, v))
-            if len(_TABLES) >= TABLE_CACHE_SIZE:
-                del _TABLES[next(iter(_TABLES))]
-        _TABLES[key] = table
+    table = graph._derived.get(kind)
+    if table is None:
+        require_connected(graph, what or f"{kind.value.replace('-', ' ')} interval")
+        adj, n, body = graph.adjacency_masks(), graph.n, _BODIES[kind]
+        table = PairIntervals(n, kind, lambda u, v: body(adj, n, u, v))
+        table = graph._derived.setdefault(kind, table)  # racing threads share the first
     return table
 
 

@@ -77,8 +77,17 @@ class CorpusSpec:
                 f"exhaustive enumeration capped at n={EXHAUSTIVE_LIMIT}; "
                 f"requested {self.exhaustive_max_n}"
             )
-        if max(self.random_graph_sizes, default=0) > 10:
+        if self.convexity_chain_max_n > EXHAUSTIVE_LIMIT:
+            raise InfeasibleCorpusError(
+                f"convexity_chain_max_n enumerates every connected graph, capped at "
+                f"n={EXHAUSTIVE_LIMIT}; requested {self.convexity_chain_max_n}"
+            )
+        if not self.random_graph_sizes or min(self.random_graph_sizes) < 2:
+            raise InfeasibleCorpusError("random_graph_sizes needs one or more sizes, each at least 2")
+        if max(self.random_graph_sizes) > 10:
             raise InfeasibleCorpusError("oracle cross-checks are limited to 10-vertex graphs")
+        if not self.edge_probabilities or not all(0 <= p <= 1 for p in self.edge_probabilities):
+            raise InfeasibleCorpusError("edge_probabilities needs one or more values, each in [0, 1]")
         if self.factor_max_n > 7:
             raise InfeasibleCorpusError("factor sampling is limited to 7-vertex graphs")
         if self.factor_max_n < 3:

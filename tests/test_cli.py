@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -169,3 +170,25 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "definitely-not-a-suite"])
     assert excinfo.value.code == 2
+
+
+def test_log_level_from_environment(capsys, monkeypatch):
+    root = logging.getLogger()
+    # as in a fresh process, where basicConfig finds no handler and sets the level
+    monkeypatch.setattr(root, "handlers", [])
+    level = root.level
+    try:
+        for name in ("info", "Info", "INFO"):
+            monkeypatch.setenv("WTOLL_LOG_LEVEL", name)
+            root.handlers.clear()
+            code, out, err = run_cli(capsys, "interval", "--graph", "path:3", "--u", "0", "--v", "2")
+            assert (code, out.strip(), err) == (0, "0 1 2", "")
+            assert root.level == logging.INFO
+        for name in ("loud", "5", ""):
+            monkeypatch.setenv("WTOLL_LOG_LEVEL", name)
+            code, out, err = run_cli(capsys, "interval", "--graph", "path:3", "--u", "0", "--v", "2")
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: WTOLL_LOG_LEVEL={name!r} is not one of DEBUG")
+            assert err.count("\n") == 1
+    finally:
+        root.setLevel(level)

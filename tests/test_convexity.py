@@ -299,9 +299,9 @@ def test_wtn_and_wth_equal_brute_force():
 
 
 def _count_pairs(monkeypatch) -> list[tuple[int, int]]:
-    """Start from an empty table cache and record every weakly toll pair an
-    engine body computes."""
-    monkeypatch.setattr(intervals, "_TABLES", {})
+    """Record every weakly toll pair an engine body computes for a table
+    built from now on; each test's graphs are fresh objects, so no table of
+    theirs exists yet."""
     body = intervals._BODIES[IntervalKind.WEAKLY_TOLL]
     calls = []
 
@@ -357,7 +357,9 @@ def test_table_cache_shared_across_threads():
         lexicographic(path_graph(3), cycle_graph(4)).graph,
         random_connected_graph(8, 0.7, 1280),
     ]
-    expected = [(wtn(g), wth(g)) for g in graphs]
+    # computed on equal copies, so the threads race to build every table
+    expected = [(wtn(Graph(g.adjacency_masks())), wth(Graph(g.adjacency_masks()))) for g in graphs]
+    tables = [[] for _ in graphs]
     failures = []
 
     def work(offset: int) -> None:
@@ -365,7 +367,7 @@ def test_table_cache_shared_across_threads():
             for i in range(offset, offset + 200):
                 g = graphs[i % len(graphs)]
                 assert (wtn(g), wth(g)) == expected[i % len(graphs)], g.edges()
-                assert len(intervals._TABLES) <= intervals.TABLE_CACHE_SIZE
+                tables[i % len(graphs)].append(pair_intervals(g, IntervalKind.WEAKLY_TOLL))
         except Exception as exc:  # reported below, from the main thread
             failures.append(exc)
 
@@ -381,3 +383,6 @@ def test_table_cache_shared_across_threads():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+    # one table per graph and kind, whichever thread built it
+    for g, seen in zip(graphs, tables):
+        assert seen and all(t is pair_intervals(g, IntervalKind.WEAKLY_TOLL) for t in seen)

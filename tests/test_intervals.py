@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import seeded_random_graphs, small_named_graphs
-from wtoll import intervals
+from wtoll import graphs, intervals
 from wtoll.convexity import hull, is_convex, maximum_interval_pairs, wth, wtn
 from wtoll.graphs import (
     DisconnectedGraphError,
@@ -283,6 +283,60 @@ def test_disconnected_rejected():
     ):
         with pytest.raises(DisconnectedGraphError, match=f"^{what} requires a connected graph$"):
             call()
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    """Record every connectivity sweep, that is, every component search
+    over the whole vertex set made from module ``graphs``."""
+    sweeps = []
+    original = graphs.component_boundaries
+
+    def counted(adj, kept):
+        if kept == (1 << len(adj)) - 1:
+            sweeps.append(kept)
+        return original(adj, kept)
+
+    monkeypatch.setattr(graphs, "component_boundaries", counted)
+    return sweeps
+
+
+def test_connectivity_swept_once_per_graph(monkeypatch):
+    g = random_connected_graph(12, 0.3, 1900)
+    sweeps = _count_sweeps(monkeypatch)
+    rng = random.Random(1900)
+    kinds = list(IntervalKind)
+    for i in range(50):
+        interval(g, rng.randrange(12), rng.randrange(12), kinds[i % len(kinds)])
+    wtn(g)
+    hull(g, VertexSet.from_iterable(12, [0, 5]))
+    assert len(sweeps) == 1
+
+
+def test_graph_keeps_its_tables():
+    first = random_connected_graph(9, 0.4, 1901)
+    table = intervals.pair_intervals(first, IntervalKind.WEAKLY_TOLL)
+    for seed in range(5):
+        wtn(first)
+        wtn(random_connected_graph(9, 0.4, 1902 + seed))
+        assert intervals.pair_intervals(first, IntervalKind.WEAKLY_TOLL) is table
+    # an equal graph is another object with tables of its own
+    twin = Graph(first.adjacency_masks())
+    assert twin == first and intervals.pair_intervals(twin, IntervalKind.WEAKLY_TOLL) is not table
+
+
+def test_disconnected_graph_raises_on_every_call(monkeypatch):
+    g = Graph.from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
+    sweeps = _count_sweeps(monkeypatch)
+    for _ in range(3):
+        for kind in IntervalKind:
+            with pytest.raises(DisconnectedGraphError, match="requires a connected graph$"):
+                intervals.pair_intervals(g, kind)
+            with pytest.raises(DisconnectedGraphError, match="requires a connected graph$"):
+                interval(g, 0, 4, kind)
+        with pytest.raises(DisconnectedGraphError, match="^weakly toll number requires"):
+            wtn(g)
+    assert len(sweeps) == 1
+    assert list(g._derived.values()) == [False]  # its connectivity, and no table
 
 
 # -- structural properties ---------------------------------------------------

@@ -144,6 +144,16 @@ def test_corpus_spec_guards():
         CorpusSpec(factor_min_n=5, factor_max_n=4)
     with pytest.raises(InfeasibleCorpusError):
         CorpusSpec(factor_min_n=0)
+    # refused when built, not seconds into a run
+    with pytest.raises(InfeasibleCorpusError, match="^convexity_chain_max_n .* capped at n=6; requested 7$"):
+        CorpusSpec(convexity_chain_max_n=7)
+    for sizes in ((0,), (1, 5), ()):
+        with pytest.raises(InfeasibleCorpusError, match="^random_graph_sizes "):
+            CorpusSpec(random_graph_sizes=sizes)
+    for probabilities in ((1.5,), (0.3, -0.1), ()):
+        with pytest.raises(InfeasibleCorpusError, match="^edge_probabilities "):
+            CorpusSpec(edge_probabilities=probabilities)
+    CorpusSpec(convexity_chain_max_n=6, random_graph_sizes=(2, 10), edge_probabilities=(0.0, 1.0))
 
 
 def test_interval_corpus_composition():
