@@ -234,7 +234,7 @@ class Graph:
         return sum(m.bit_count() for m in self._adj) // 2
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
+        if not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
 
     # -- structure -----------------------------------------------------

@@ -5,25 +5,29 @@ deliberately independent of the closed-form engines in ``intervals``: the
 adjacency structure is rebuilt as plain neighbour sets and the walk
 conditions are restated from scratch.  These oracles exist to catch any
 mistake in the derived characterisations, so they favour obviousness over
-speed and are only meant for graphs with up to roughly eight vertices
-(``oracle_interval`` itself copes with a few dozen).
+speed.
 
-Exhaustive walk enumeration is exponential, so ``witness_lengths`` and
-``oracle_interval`` explore a memoised state space instead of raw vertex
-sequences.  The memoisation
-key is sound because the walk constraints become per-vertex checks once the
-hub vertices are fixed: for a weakly toll walk, after the first step every
-appended vertex adjacent to u must equal the first hub, and all vertices
-adjacent to v seen anywhere must agree on a single vertex, which must also
-immediately precede the final v.  ``enumerated_interval`` re-derives the
-same sets by literal depth-first sequence enumeration (no memoisation) and
-the tests keep the two in agreement on tiny graphs.
+A weakly toll walk may revisit its hubs, so its definition bounds no walk
+length, and raw vertex sequences cannot be enumerated exhaustively.
+``witness_lengths`` and ``oracle_interval`` instead search a finite state
+space breadth-first, with no length cap, so their intervals are exact by
+construction.  The state is sound because the walk constraints become
+per-vertex checks once the hub vertices are fixed: for a weakly toll walk,
+after the first step every appended vertex adjacent to u must equal the
+first hub, and all vertices adjacent to v seen anywhere must agree on a
+single vertex, which must also immediately precede the final v.  A state is
+(vertex, first hub, last hub) for weakly toll walks, at most
+n * deg(u) * (deg(v) + 1) of them; (vertex, first hub) for semi weakly toll
+walks, at most n * deg(u); and (vertex, stage) for tolled walks, at most 2n.
+Each search is linear in its states and their transitions, so graphs of a
+few dozen vertices are cheap.  ``enumerated_interval`` re-derives the same
+sets by literal depth-first sequence enumeration up to a walk budget (no
+memoisation) and the tests keep the two in agreement on tiny graphs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .convexity import least_covering_set, least_hull_set
@@ -31,23 +35,6 @@ from .graphs import Graph, VertexSet, require_connected, require_non_trivial
 from .intervals import IntervalKind, PairIntervals
 
 ORACLE_KINDS = (IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL, IntervalKind.TOLL)
-
-
-@dataclass(frozen=True)
-class WalkBudget:
-    """Maximum number of edges in enumerated walks."""
-
-    max_len: int
-
-    def __post_init__(self):
-        if self.max_len < 1:
-            raise ValueError("walk budget must allow at least one edge")
-
-
-def default_budget(graph: Graph) -> WalkBudget:
-    """2n + 2 edges: an interval witness decomposes into two walks of at
-    most n - 1 edges through the interior plus endpoint detours."""
-    return WalkBudget(2 * graph.n + 2)
 
 
 def _neighbour_sets(graph: Graph) -> list[set[int]]:
@@ -125,13 +112,14 @@ _CHECKERS = {
 # -- memoised walk-state search -----------------------------------------
 
 
-def _state_lengths(starts, transitions, finished, budget: int, u: int, v: int) -> dict[int, int]:
+def _state_lengths(starts, transitions, finished, u: int, v: int) -> dict[int, int]:
     """Shared scaffolding: min edges to reach each state (forward) and to
-    complete a walk from it (backward).  Returns, for every vertex some
-    state of which splits a valid walk within budget, the fewest edges of
-    such a walk; u and v get the shortest valid walk.  BFS distances are
-    exact, so the vertices within any smaller budget B are those whose
-    length is at most B."""
+    complete a walk from it (backward), by breadth-first search run to
+    exhaustion over the finite state space.  Returns, for every vertex some
+    state of which splits a valid walk, the fewest edges of such a walk; u
+    and v get the shortest valid walk.  BFS distances are exact, so the
+    vertices of qualifying walks within a budget B are those whose length is
+    at most B."""
     fwd: dict = {}
     preds: dict = {}
     queue = deque()
@@ -142,20 +130,16 @@ def _state_lengths(starts, transitions, finished, budget: int, u: int, v: int) -
     while queue:
         state = queue.popleft()
         d = fwd[state]
-        if d >= budget:
-            continue
         for nxt in transitions(state):
             preds.setdefault(nxt, []).append(state)
             if nxt not in fwd:
                 fwd[nxt] = d + 1
                 queue.append(nxt)
 
-    bwd: dict = {}
-    queue = deque()
-    for state, extra in finished(fwd):
-        if bwd.get(state, budget + 1) > extra:
-            bwd[state] = extra
-            queue.append(state)
+    # every finished state of one kind needs the same number of extra edges,
+    # so a plain multi-source BFS gives exact distances
+    bwd = dict(finished(fwd))
+    queue = deque(bwd)
     while queue:
         state = queue.popleft()
         d = bwd[state]
@@ -165,17 +149,16 @@ def _state_lengths(starts, transitions, finished, budget: int, u: int, v: int) -
                 queue.append(prev)
 
     lengths: dict[int, int] = {}
-    for state, d in fwd.items():
-        back = bwd.get(state)
-        # the default budget + 1 keeps only walks within budget
-        if back is not None and d + back < lengths.get(state[0], budget + 1):
-            lengths[state[0]] = d + back
+    for state, back in bwd.items():
+        edges = fwd[state] + back
+        if edges < lengths.get(state[0], edges + 1):
+            lengths[state[0]] = edges
     if lengths:
         lengths[u] = lengths[v] = min(lengths.values())
     return lengths
 
 
-def _weakly_toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> dict[int, int]:
+def _weakly_toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
     nu, nv = adj[u], adj[v]
     b0 = u if u in nv else -1
 
@@ -203,10 +186,10 @@ def _weakly_toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> di
     def finished(fwd):
         return [(state, 0) for state in fwd if state[0] == v]
 
-    return _state_lengths(starts, transitions, finished, budget, u, v)
+    return _state_lengths(starts, transitions, finished, u, v)
 
 
-def _semi_weakly_toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> dict[int, int]:
+def _semi_weakly_toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
     nu = adj[u]
 
     def transitions(state):
@@ -221,10 +204,10 @@ def _semi_weakly_toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) 
     def finished(fwd):
         return [(state, 0) for state in fwd if state[0] == v]
 
-    return _state_lengths(starts, transitions, finished, budget, u, v)
+    return _state_lengths(starts, transitions, finished, u, v)
 
 
-def _toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> dict[int, int]:
+def _toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
     nu, nv = adj[u], adj[v]
     if v in nu:
         # a longer walk would place v at a position other than 1 while v is
@@ -247,7 +230,7 @@ def _toll_lengths(adj: list[set[int]], u: int, v: int, budget: int) -> dict[int,
         # one more edge hops from the penultimate vertex onto v
         return [(state, 1) for state in fwd if state[1] == LAST]
 
-    return _state_lengths(starts, transitions, finished, budget, u, v)
+    return _state_lengths(starts, transitions, finished, u, v)
 
 
 _BUILDERS = {
@@ -257,25 +240,14 @@ _BUILDERS = {
 }
 
 
-def _as_budget(graph: Graph, budget: WalkBudget | int | None) -> int:
-    if budget is None:
-        return default_budget(graph).max_len
-    if isinstance(budget, WalkBudget):
-        return budget.max_len
-    return WalkBudget(budget).max_len
-
-
 def witness_lengths(
-    graph: Graph,
-    pairs: Iterable[tuple[int, int]],
-    kind: IntervalKind,
-    budget: WalkBudget | int | None = None,
+    graph: Graph, pairs: Iterable[tuple[int, int]], kind: IntervalKind
 ) -> Iterator[dict[int, int]]:
     """For each ``(u, v)`` in ``pairs``, the fewest edges of a qualifying
-    walk of at most ``budget`` edges through each vertex such a walk visits
-    (u and v get the shortest one).  ``oracle_interval`` at any budget B up
-    to ``budget`` is the set of vertices whose length is at most B.  The
-    graph is checked and its neighbour sets built once for all pairs."""
+    walk through each vertex such a walk visits, of any length (u and v get
+    the shortest one).  ``oracle_interval`` at a budget B is the set of
+    vertices whose length is at most B.  The graph is checked and its
+    neighbour sets built once for all pairs."""
     kind = IntervalKind(kind)
     if kind not in _BUILDERS:
         raise ValueError(f"no walk oracle for interval kind {kind.value!r}")
@@ -284,46 +256,65 @@ def witness_lengths(
     for u, v in pairs:
         graph._check_vertex(u)
         graph._check_vertex(v)
-    max_len = _as_budget(graph, budget)
     adj = _neighbour_sets(graph)
     build = _BUILDERS[kind]
-    return ({u: 0} if u == v else build(adj, u, v, max_len) for u, v in pairs)
+    return ({u: 0} if u == v else build(adj, u, v) for u, v in pairs)
+
+
+def _check_budget(budget: int) -> int:
+    if budget < 1:
+        raise ValueError("walk budget must allow at least one edge")
+    return budget
 
 
 def oracle_interval(
-    graph: Graph,
-    u: int,
-    v: int,
-    kind: IntervalKind,
-    budget: WalkBudget | int | None = None,
+    graph: Graph, u: int, v: int, kind: IntervalKind, budget: int | None = None
 ) -> VertexSet:
-    """Vertices visited by some qualifying walk of at most ``budget`` edges."""
-    (lengths,) = witness_lengths(graph, [(u, v)], kind, budget)
-    return VertexSet(graph.n, sum(1 << x for x in lengths))
+    """Vertices visited by some qualifying walk: the exact interval, or,
+    given ``budget``, only the walks of at most ``budget`` edges."""
+    limit = float("inf") if budget is None else _check_budget(budget)
+    (lengths,) = witness_lengths(graph, [(u, v)], kind)
+    return VertexSet(graph.n, sum(1 << x for x, edges in lengths.items() if edges <= limit))
+
+
+#: Largest graph ``enumerated_interval`` accepts.  Its cost grows like
+#: degree**budget: the worst 5-vertex graph takes seconds per kind at 2n + 2,
+#: and a 6-vertex graph had not finished its three kinds after minutes.
+ENUMERATION_MAX_N = 5
 
 
 def enumerated_interval(
-    graph: Graph,
-    u: int,
-    v: int,
-    kind: IntervalKind,
-    budget: WalkBudget | int | None = None,
+    graph: Graph, u: int, v: int, kind: IntervalKind, budget: int | None = None
 ) -> VertexSet:
-    """Unmemoised ground truth: depth-first over raw vertex sequences.
+    """Unmemoised ground truth: depth-first over raw vertex sequences of at
+    most ``budget`` edges (2n + 2 by default, which is also the largest
+    budget accepted; graphs above ``ENUMERATION_MAX_N`` vertices are
+    refused).
 
-    Every extension keeps only the walk-edge constraint; full sequences
-    ending at v are validated with the verbatim condition checkers.  Cost
-    grows like degree**budget, so keep this to tiny graphs.
+    Every extension keeps the walk-edge constraint and drops dead prefixes.
+    For all three kinds the u-side condition is a separate test of each
+    position i >= 1, given w_1: a vertex adjacent to u must be w_1 for
+    weakly and semi weakly toll walks, and must sit at position 1 for
+    tolled walks.  So a prefix that fails it at some position fails it in
+    every extension, and skipping the prefix loses no valid walk.  Full
+    sequences ending at v are still validated with the verbatim condition
+    checkers.
     """
     kind = IntervalKind(kind)
     checker = _CHECKERS[kind]
     require_connected(graph, "walk enumeration")
     graph._check_vertex(u)
     graph._check_vertex(v)
-    max_len = _as_budget(graph, budget)
+    max_len = 2 * graph.n + 2 if budget is None else _check_budget(budget)
+    if graph.n > ENUMERATION_MAX_N or max_len > 2 * graph.n + 2:
+        raise ValueError(
+            f"walk enumeration is limited to {ENUMERATION_MAX_N} vertices and 2n + 2 "
+            f"edges; requested n={graph.n}, budget {max_len}"
+        )
     if u == v:
         return VertexSet(graph.n, 1 << u)
     adj = _neighbour_sets(graph)
+    toll = kind is IntervalKind.TOLL
     mask = 0
     walk = [u]
 
@@ -335,6 +326,8 @@ def enumerated_interval(
         if len(walk) > max_len:
             return
         for w in sorted(adj[walk[-1]]):
+            if len(walk) > 1 and w in adj[u] and (toll or w != walk[1]):
+                continue
             walk.append(w)
             extend()
             walk.pop()
@@ -349,20 +342,20 @@ def enumerated_interval(
 # search over is filled here from ``oracle_interval`` alone.
 
 
-def _pair_table(graph: Graph, budget: WalkBudget | int | None) -> PairIntervals:
+def _pair_table(graph: Graph) -> PairIntervals:
     wt = IntervalKind.WEAKLY_TOLL
-    return PairIntervals(graph.n, wt, lambda u, v: oracle_interval(graph, u, v, wt, budget).mask)
+    return PairIntervals(graph.n, wt, lambda u, v: oracle_interval(graph, u, v, wt).mask)
 
 
-def oracle_wtn(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[int, VertexSet]:
+def oracle_wtn(graph: Graph) -> tuple[int, VertexSet]:
     """Exact weakly toll number with the lexicographically least witness."""
     require_connected(graph, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
-    return least_covering_set(_pair_table(graph, budget))
+    return least_covering_set(_pair_table(graph))
 
 
-def oracle_wth(graph: Graph, budget: WalkBudget | int | None = None) -> tuple[int, VertexSet]:
+def oracle_wth(graph: Graph) -> tuple[int, VertexSet]:
     """Exact weakly toll hull number with the lexicographically least witness."""
     require_connected(graph, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
-    return least_hull_set(_pair_table(graph, budget))
+    return least_hull_set(_pair_table(graph))

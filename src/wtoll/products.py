@@ -32,17 +32,17 @@ class ProductGraph:
 
     ``labels[x]`` is ``(g, h)`` for the pair products, and either
     ``("base", i)`` or ``("copy", i, h)`` for the coronas;
-    :meth:`label_string` gives their printable form.
+    :meth:`label_string` gives their printable form.  The coordinate
+    lookups compute positions from the numbering the module describes.
     """
 
-    __slots__ = ("graph", "kind", "factors", "labels", "_index")
+    __slots__ = ("graph", "kind", "factors", "labels")
 
     def __init__(self, graph: Graph, kind: ProductKind, factors: tuple[Graph, ...], labels: tuple):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {label: x for x, label in enumerate(labels)})
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductGraph is immutable")
@@ -54,19 +54,23 @@ class ProductGraph:
             raise ValueError(f"{self.kind.value} product has no (g, h) coordinates")
         self.factors[0]._check_vertex(g)
         self.factors[1]._check_vertex(h)
-        return self._index[(g, h)]
+        return g * self.factors[1].n + h
 
     def base_index(self, i: int) -> int:
         if self.kind not in CORONA_KINDS:
             raise ValueError(f"{self.kind.value} product has no base vertices")
         self.factors[0]._check_vertex(i)
-        return self._index[("base", i)]
+        return i
 
     def copy_index(self, i: int, h: int) -> int:
         if self.kind not in CORONA_KINDS:
             raise ValueError(f"{self.kind.value} product has no attached copies")
         self._copy_factor(i)._check_vertex(h)
-        return self._index[("copy", i, h)]
+        if self.kind is ProductKind.CORONA:
+            before = i * self.factors[1].n
+        else:
+            before = sum(copy.n for copy in self.factors[1 : 1 + i])
+        return self.factors[0].n + before + h
 
     def project_first(self, x: int) -> int:
         """Projection onto the first factor (pair products only)."""

@@ -72,6 +72,11 @@ class CorpusSpec:
     hull_axiom_instances: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # every int field but the seed is a count or a size
+            if f.name != "seed" and type(f.default) is int and value < 0:
+                raise InfeasibleCorpusError(f"{f.name} must be non-negative; requested {value}")
         if self.exhaustive_max_n > EXHAUSTIVE_LIMIT:
             raise InfeasibleCorpusError(
                 f"exhaustive enumeration capped at n={EXHAUSTIVE_LIMIT}; "
@@ -95,8 +100,6 @@ class CorpusSpec:
             raise InfeasibleCorpusError("factor sampling needs factor_max_n >= 3")
         if not 1 <= self.factor_min_n <= self.factor_max_n:
             raise InfeasibleCorpusError("factor_min_n must lie in 1..factor_max_n")
-        if self.budget_extra < 0:
-            raise InfeasibleCorpusError("budget extra must be non-negative")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusSpec":
@@ -389,9 +392,11 @@ def _within(n: int, lengths: dict[int, int], budget: int) -> VertexSet:
 
 
 def _oracle_rows(check_id: str, kind: IntervalKind):
-    """Engine against one oracle search per pair at 2n + budget_extra,
-    whose masks at that budget and at 2n must agree (stabilisation).  The
-    longest minimal witness, relative to 2n, is logged at the end."""
+    """Engine against one exact oracle search per pair.  Its witness
+    lengths give the oracle interval at 2n + budget_extra, which the engine
+    must equal, and at 2n, which must agree with it (the claim's
+    "stabilised").  The longest minimal witness, relative to 2n, is logged
+    at the end."""
 
     def rows(spec, rng):
         claim = "engine equals stabilised oracle on every pair"
@@ -404,7 +409,7 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
             )
             budget = 2 * g.n + spec.budget_extra
             failure = None
-            for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind, budget)):
+            for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind)):
                 edges = max(lengths.values(), default=0)
                 if edges * at_n > longest * g.n:
                     longest, at_n = edges, g.n

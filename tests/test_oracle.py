@@ -16,7 +16,6 @@ from wtoll.graphs import (
 from wtoll.intervals import IntervalKind
 from wtoll.oracle import (
     ORACLE_KINDS,
-    WalkBudget,
     enumerated_interval,
     is_semi_weakly_toll_walk,
     is_tolled_walk,
@@ -84,6 +83,18 @@ def test_oracle_matches_enumeration_on_sparse_five_vertex_graphs():
                         ), (g.edges(), kind, s, t)
 
 
+def test_enumeration_refuses_runs_that_would_take_hours():
+    # both calls return at once without the guard: u == v needs no walk, and
+    # a path gives few sequences
+    with pytest.raises(ValueError, match="limited to 5 vertices and 2n \\+ 2 edges; requested n=6"):
+        enumerated_interval(path_graph(6), 0, 0, IntervalKind.WEAKLY_TOLL)
+    with pytest.raises(ValueError, match="requested n=3, budget 9$"):
+        enumerated_interval(path_graph(3), 0, 2, IntervalKind.TOLL, 9)
+    with pytest.raises(ValueError, match="at least one edge"):
+        enumerated_interval(path_graph(3), 0, 2, IntervalKind.TOLL, 0)
+    assert sorted(enumerated_interval(path_graph(3), 0, 2, IntervalKind.TOLL, 8)) == [0, 1, 2]
+
+
 # -- known interval values -------------------------------------------------
 
 
@@ -119,7 +130,7 @@ def test_oracle_requires_connected():
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        WalkBudget(0)
+        oracle_interval(CLAW, 0, 2, IntervalKind.WEAKLY_TOLL, 0)
 
 
 # -- budget behaviour -------------------------------------------------------
@@ -160,7 +171,7 @@ def test_one_search_gives_the_interval_at_smaller_budgets():
             at_2n = [oracle_interval(g, u, v, kind, 2 * g.n) for u, v in pairs]
             for extra in (0, 2):
                 top = 2 * g.n + extra
-                searched = witness_lengths(g, pairs, kind, top)
+                searched = witness_lengths(g, pairs, kind)
                 for (u, v), lengths, expected_2n in zip(pairs, searched, at_2n):
                     expected_top = oracle_interval(g, u, v, kind, top)
                     for budget, expected in ((top, expected_top), (2 * g.n, expected_2n)):
@@ -176,7 +187,7 @@ def test_witness_lengths_are_minimal():
         for kind in ORACLE_KINDS:
             pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
             top = 2 * g.n + 2
-            for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind, top)):
+            for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind)):
                 first_in = {}
                 for budget in range(1, top + 1):
                     for x in oracle_interval(g, u, v, kind, budget):

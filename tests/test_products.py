@@ -153,6 +153,7 @@ def test_projections_and_order():
         lambda: p.pair_index(0, 9),
         lambda: p.pair_index(3, 0),
         lambda: p.pair_index(-1, 1),
+        lambda: p.pair_index(1.5, 0),
         lambda: gc.base_index(2),
         lambda: gc.copy_index(2, 0),
         lambda: gc.copy_index(0, 2),

@@ -154,6 +154,13 @@ def test_corpus_spec_guards():
         with pytest.raises(InfeasibleCorpusError, match="^edge_probabilities "):
             CorpusSpec(edge_probabilities=probabilities)
     CorpusSpec(convexity_chain_max_n=6, random_graph_sizes=(2, 10), edge_probabilities=(0.0, 1.0))
+    # no count or size may be negative; zero stays accepted
+    negatives = {"random_graph_count": -3, "lex_pair_count": -2, "hull_axiom_instances": -1,
+                 "exhaustive_max_n": -4, "budget_extra": -1, "factor_min_n": -1}
+    for name, value in negatives.items():
+        with pytest.raises(InfeasibleCorpusError, match=f"^{name} must be non-negative; requested {value}$"):
+            CorpusSpec(**{name: value})
+    CorpusSpec(random_graph_count=0, lex_pair_count=0, hull_axiom_instances=0, budget_extra=0)
 
 
 def test_interval_corpus_composition():
@@ -340,7 +347,7 @@ def test_witness_margin_is_relative_to_2n(caplog):
     assert max(
         max(lengths.values())
         for g in eights
-        for lengths in witness_lengths(g, itertools.combinations(range(8), 2), kind, 18)
+        for lengths in witness_lengths(g, itertools.combinations(range(8), 2), kind)
     ) == 6
     caplog.set_level(logging.INFO, logger="wtoll.verify")
     run_check("wt-interval-oracle", spec)
@@ -355,8 +362,8 @@ def test_oracle_check_flags_witnesses_beyond_2n(monkeypatch):
     spec = CorpusSpec(exhaustive_max_n=3, random_graph_count=0)
     found = verify.witness_lengths
     for shift, status in ((0, "match"), (1, "mismatch")):
-        def stretched(g, pairs, kind, budget, shift=shift):
-            for lengths in found(g, pairs, kind, budget):
+        def stretched(g, pairs, kind, shift=shift):
+            for lengths in found(g, pairs, kind):
                 yield {x: 2 * g.n + shift for x in lengths}
 
         monkeypatch.setattr(verify, "witness_lengths", stretched)
