@@ -5,10 +5,10 @@ minimum and its lexicographically least witness come out deterministically.
 They read the lazily filled pair table and compute only what they need, in
 three stages:
 
-1. Sets of one and two vertices, straight from the table, stopping at the
-   first success: ``wtn`` = 2 stops at the first pair whose interval is V,
-   and ``wth`` at the first pair whose hull is.  By the end of this stage
-   every pair has been read, so the later stages index a plain dict.
+1. Sets of two vertices, straight from the table, stopping at the first
+   success: ``wtn`` = 2 stops at the first pair whose interval is V, and
+   ``wth`` at the first pair whose hull is.  By the end of this stage every
+   pair has been read, so the later stages index a plain dict.
 2. The forced set F: a vertex in no interval between two other vertices is
    extreme, V minus it is convex, so it lies in every interval set and
    every hull set.
@@ -109,11 +109,9 @@ def _least_set(table: PairIntervals, spans: Callable[[object, int], bool]) -> tu
     """Least k with a k-set S for which ``spans(pair, S)`` holds, and the
     lexicographically least such S, in the three stages of the module
     docstring; ``spans`` must fail on every set that leaves out a forced
-    vertex."""
+    vertex.  The table has n >= 2 vertices, so no single vertex spans: the
+    closure and the hull of one vertex are that vertex."""
     n = table.n
-    for u in range(n):
-        if spans(table, 1 << u):
-            return 1, VertexSet(n, 1 << u)
     for u in range(n):
         for v in range(u + 1, n):
             if spans(table, 1 << u | 1 << v):

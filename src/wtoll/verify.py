@@ -16,6 +16,7 @@ the in-memory verdicts and in the printed summary.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import random
@@ -298,9 +299,6 @@ def _isomorphic(adj_a: list[int], labels_a: list, adj_b: list[int], labels_b: li
     return place(0, 0, 0)
 
 
-_CONNECTED_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-
-
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class.
 
@@ -317,50 +315,47 @@ def connected_graphs(n: int) -> list[Graph]:
         raise InfeasibleCorpusError(
             f"exhaustive enumeration capped at n={EXHAUSTIVE_LIMIT}; requested {n}"
         )
-    if n not in _CONNECTED_CACHE:
-        if n == 1:
-            _CONNECTED_CACHE[1] = [()]
-        else:
-            seen = []
-            kept: dict[tuple, list[tuple[list[int], list]]] = {}
-            for smaller in connected_graphs(n - 1):
-                for bits in range(1, 1 << (n - 1)):
-                    adj = [*smaller.adjacency_masks(), bits]
-                    for v in _bits(bits):
-                        adj[v] |= 1 << (n - 1)
-                    labels = _vertex_labels(adj)
-                    key = (smaller.edge_count + bits.bit_count(), *sorted(labels))
-                    bucket = kept.setdefault(key, [])
-                    if any(_isomorphic(adj, labels, *other) for other in bucket):
-                        continue
-                    bucket.append((adj, labels))
-                    seen.append(_canonical_edges(adj))
-            _CONNECTED_CACHE[n] = sorted(seen, key=lambda e: (len(e), e))
-    return [Graph.from_edge_list(n, edges) for edges in _CONNECTED_CACHE[n]]
+    return [Graph.from_edge_list(n, edges) for edges in _class_edges(n)]
 
 
-_CORPUS_CACHE: dict[CorpusSpec, list[tuple[dict, Graph]]] = {}
+@functools.cache
+def _class_edges(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The canonical edge lists behind ``connected_graphs(n)``, in order."""
+    if n == 1:
+        return [()]
+    seen = []
+    kept: dict[tuple, list[tuple[list[int], list]]] = {}
+    for smaller in connected_graphs(n - 1):
+        for bits in range(1, 1 << (n - 1)):
+            adj = [*smaller.adjacency_masks(), bits]
+            for v in _bits(bits):
+                adj[v] |= 1 << (n - 1)
+            labels = _vertex_labels(adj)
+            key = (smaller.edge_count + bits.bit_count(), *sorted(labels))
+            bucket = kept.setdefault(key, [])
+            if any(_isomorphic(adj, labels, *other) for other in bucket):
+                continue
+            bucket.append((adj, labels))
+            seen.append(_canonical_edges(adj))
+    return sorted(seen, key=lambda e: (len(e), e))
 
 
+@functools.cache
 def interval_corpus(spec: CorpusSpec) -> list[tuple[dict, Graph]]:
     """The criterion corpus: exhaustive small graphs plus seeded random ones."""
-    if spec not in _CORPUS_CACHE:
-        items: list[tuple[dict, Graph]] = []
-        for n in range(2, spec.exhaustive_max_n + 1):
-            for g in connected_graphs(n):
-                items.append(({"graph6": encode_graph6(g), "source": "exhaustive"}, g))
-        sizes = spec.random_graph_sizes
-        probs = spec.edge_probabilities
-        for i in range(spec.random_graph_count):
-            n = sizes[i % len(sizes)]
-            p = probs[i % len(probs)]
-            seed = spec.seed * 1_000_003 + i
-            g = random_connected_graph(n, p, seed)
-            items.append(
-                ({"graph6": encode_graph6(g), "source": "random", "seed": seed}, g)
-            )
-        _CORPUS_CACHE[spec] = items
-    return _CORPUS_CACHE[spec]
+    items: list[tuple[dict, Graph]] = []
+    for n in range(2, spec.exhaustive_max_n + 1):
+        for g in connected_graphs(n):
+            items.append(({"graph6": encode_graph6(g), "source": "exhaustive"}, g))
+    sizes = spec.random_graph_sizes
+    probs = spec.edge_probabilities
+    for i in range(spec.random_graph_count):
+        n = sizes[i % len(sizes)]
+        p = probs[i % len(probs)]
+        seed = spec.seed * 1_000_003 + i
+        g = random_connected_graph(n, p, seed)
+        items.append(({"graph6": encode_graph6(g), "source": "random", "seed": seed}, g))
+    return items
 
 
 def _sample_factor(rng: random.Random, spec: CorpusSpec, allow_complete: bool = False) -> Graph:
@@ -386,11 +381,6 @@ def _factors(g: Graph, h: Graph) -> dict:
 # -- engine vs oracle --------------------------------------------------------
 
 
-def _within(n: int, lengths: dict[int, int], budget: int) -> VertexSet:
-    """The oracle interval at ``budget``, from one pair's witness lengths."""
-    return VertexSet(n, sum(1 << x for x, edges in lengths.items() if edges <= budget))
-
-
 def _oracle_rows(check_id: str, kind: IntervalKind):
     """Engine against one exact oracle search per pair.  Its witness
     lengths give the oracle interval at 2n + budget_extra, which the engine
@@ -413,12 +403,12 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
                 edges = max(lengths.values(), default=0)
                 if edges * at_n > longest * g.n:
                     longest, at_n = edges, g.n
-                fast = interval(g, u, v, kind)
-                slow = _within(g.n, lengths, budget)
-                stable = _within(g.n, lengths, 2 * g.n)
-                if fast != slow or stable != slow:
-                    failure = {"pair": [u, v], "engine": _vs(fast), "oracle": _vs(slow),
-                               "oracle_at_2n": _vs(stable)}
+                engine = interval(g, u, v, kind).mask
+                oracle = sum(1 << x for x, length in lengths.items() if length <= budget)
+                at_2n = sum(1 << x for x, length in lengths.items() if length <= 2 * g.n)
+                if engine != oracle or at_2n != oracle:
+                    failure = {"pair": [u, v], "engine": list(_bits(engine)),
+                               "oracle": list(_bits(oracle)), "oracle_at_2n": list(_bits(at_2n))}
                     break
             yield {**descriptor, "pairs": len(pairs)}, claim, failure or "agreed", not failure
         log.info(
@@ -767,13 +757,18 @@ def run_suite(name: str, spec: CorpusSpec | None = None) -> list[Verdict]:
 # -- summaries and report files ----------------------------------------------
 
 
+_COUNTS = ("total", "matches", "mismatches", "skipped")
+_COUNTED_AS = {"match": "matches", "mismatch": "mismatches", "skipped": "skipped"}
+_ROW = "{:34} {:>6} {:>6} {:>9} {:>8}"
+
+
 @dataclass
 class Summary:
     total: int
     matches: int
     mismatches: int
     skipped: int
-    by_check: dict[str, dict]
+    by_check: dict[str, dict]  # check id -> its count for each name in _COUNTS
     mismatch_verdicts: list[Verdict]
     elapsed: float
 
@@ -782,41 +777,23 @@ class Summary:
         return self.mismatches == 0
 
     def table(self) -> str:
-        lines = [f"{'check':34} {'total':>6} {'match':>6} {'mismatch':>9} {'skipped':>8}"]
-        for check_id, row in self.by_check.items():
-            lines.append(
-                f"{check_id:34} {row['total']:>6} {row['matches']:>6} "
-                f"{row['mismatches']:>9} {row['skipped']:>8}"
-            )
-        lines.append(
-            f"{'TOTAL':34} {self.total:>6} {self.matches:>6} "
-            f"{self.mismatches:>9} {self.skipped:>8}   [{self.elapsed:.1f}s]"
-        )
+        lines = [_ROW.format("check", "total", "match", "mismatch", "skipped")]
+        lines += [_ROW.format(check_id, *row.values()) for check_id, row in self.by_check.items()]
+        totals = (getattr(self, count) for count in _COUNTS)
+        lines.append(_ROW.format("TOTAL", *totals) + f"   [{self.elapsed:.1f}s]")
         return "\n".join(lines)
 
 
 def summarize(verdicts: list[Verdict]) -> Summary:
     by_check: dict[str, dict] = {}
-    mismatches = []
     for verdict in verdicts:
-        row = by_check.setdefault(
-            verdict.check, {"total": 0, "matches": 0, "mismatches": 0, "skipped": 0}
-        )
+        row = by_check.setdefault(verdict.check, dict.fromkeys(_COUNTS, 0))
         row["total"] += 1
-        if verdict.status == "match":
-            row["matches"] += 1
-        elif verdict.status == "mismatch":
-            row["mismatches"] += 1
-            mismatches.append(verdict)
-        else:
-            row["skipped"] += 1
+        row[_COUNTED_AS[verdict.status]] += 1
     return Summary(
-        total=len(verdicts),
-        matches=sum(r["matches"] for r in by_check.values()),
-        mismatches=len(mismatches),
-        skipped=sum(r["skipped"] for r in by_check.values()),
+        **{count: sum(row[count] for row in by_check.values()) for count in _COUNTS},
         by_check=by_check,
-        mismatch_verdicts=mismatches,
+        mismatch_verdicts=[v for v in verdicts if v.status == "mismatch"],
         elapsed=sum(v.runtime for v in verdicts),
     )
 
@@ -826,9 +803,7 @@ def write_jsonl(verdicts: list[Verdict], path: str | Path) -> None:
 
 
 def write_csv(summary: Summary, path: str | Path) -> None:
-    lines = ["check,total,matches,mismatches,skipped"]
+    lines = [",".join(("check", *_COUNTS))]
     for check_id, row in summary.by_check.items():
-        lines.append(
-            f"{check_id},{row['total']},{row['matches']},{row['mismatches']},{row['skipped']}"
-        )
+        lines.append(",".join(map(str, (check_id, *row.values()))))
     Path(path).write_text("\n".join(lines) + "\n")

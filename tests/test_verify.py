@@ -218,6 +218,72 @@ def test_summary_and_csv(tmp_path):
     assert empty.total == 0 and empty.ok
 
 
+TINY_TABLE = """\
+check                               total  match  mismatch  skipped
+wt-interval-oracle                     15     15         0        0
+swt-interval-oracle                    15     15         0        0
+toll-interval-oracle                   15     15         0        0
+neighbor-extension                     15     15         0        0
+max-interval-decomposition             15     12         0        3
+wtn-exceeds-two-criterion              15     12         0        3
+lex-same-layer-interval                 6      6         0        0
+lex-cross-layer-interval                6      6         0        0
+lex-wtn-dichotomy                       3      3         0        0
+lex-hull-number                         3      2         1        0
+corona-same-copy-interval               6      6         0        0
+corona-cross-copy-interval              6      6         0        0
+corona-base-pair-interval               6      6         0        0
+corona-mixed-pair-interval              6      6         0        0
+corona-base-restriction                 6      6         0        0
+corona-wtn-dichotomy                    3      3         0        0
+corona-hull-number                      3      3         0        0
+generalized-corona-wtn                  3      3         0        0
+cartesian-wtn                           3      3         0        0
+strong-wtn-bound                        3      3         0        0
+convexity-chain                         9      9         0        0
+hull-closure-axioms                    10     10         0        0
+wth-le-wtn                             15     15         0        0
+TOTAL                                 187    180         1        6   [\u2026s]"""
+
+TINY_CSV = """\
+check,total,matches,mismatches,skipped
+wt-interval-oracle,15,15,0,0
+swt-interval-oracle,15,15,0,0
+toll-interval-oracle,15,15,0,0
+neighbor-extension,15,15,0,0
+max-interval-decomposition,15,12,0,3
+wtn-exceeds-two-criterion,15,12,0,3
+lex-same-layer-interval,6,6,0,0
+lex-cross-layer-interval,6,6,0,0
+lex-wtn-dichotomy,3,3,0,0
+lex-hull-number,3,2,1,0
+corona-same-copy-interval,6,6,0,0
+corona-cross-copy-interval,6,6,0,0
+corona-base-pair-interval,6,6,0,0
+corona-mixed-pair-interval,6,6,0,0
+corona-base-restriction,6,6,0,0
+corona-wtn-dichotomy,3,3,0,0
+corona-hull-number,3,3,0,0
+generalized-corona-wtn,3,3,0,0
+cartesian-wtn,3,3,0,0
+strong-wtn-bound,3,3,0,0
+convexity-chain,9,9,0,0
+hull-closure-axioms,10,10,0,0
+wth-le-wtn,15,15,0,0
+"""
+
+
+def test_summary_table_and_csv_bytes_are_pinned(tmp_path):
+    verdicts = run_suite("all", TINY)
+    forced = next(v for v in verdicts if v.check == "lex-hull-number")
+    forced.status = "mismatch"
+    summary = summarize(verdicts)
+    assert summary.mismatch_verdicts == [forced]
+    assert re.sub(r"\[\d+\.\ds\]$", "[\u2026s]", summary.table()) == TINY_TABLE
+    write_csv(summary, tmp_path / "summary.csv")
+    assert (tmp_path / "summary.csv").read_bytes() == TINY_CSV.encode()
+
+
 def test_mismatch_detection_signal():
     # forge a mismatch to make sure summaries flag it
     verdicts = run_check("cartesian-wtn", TINY)
@@ -370,4 +436,6 @@ def test_oracle_check_flags_witnesses_beyond_2n(monkeypatch):
         for check_id in ("wt-interval-oracle", "swt-interval-oracle", "toll-interval-oracle"):
             verdicts = run_check(check_id, spec)
             assert {v.status for v in verdicts} == {status}, check_id
-    assert verdicts[0].observed["oracle_at_2n"] == []
+    payload = verdicts[0].observed
+    assert payload == {"pair": [0, 1], "engine": [0, 1], "oracle": [0, 1], "oracle_at_2n": []}
+    assert all(type(x) is int for members in payload.values() for x in members)
