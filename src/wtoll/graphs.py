@@ -476,6 +476,8 @@ def parse_edge_list(text: str) -> Graph:
     if not rows or len(rows[0]) != 2:
         raise ValueError("edge-list text must start with a 'n m' line")
     n, m = (int(tok) for tok in rows[0])
+    if n > _G6_MAX_N:
+        raise ValueError(f"{n} vertices: edge lists, like graph6, hold at most {_G6_MAX_N}")
     if len(rows) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")
     edges = []

@@ -9,6 +9,12 @@ resuming the generator (so the corpus build counts in the first row that
 needs it), maps ``ok`` to a status and logs each check's start and finish
 to the ``wtoll.verify`` logger at INFO.
 
+The product checks are one table, ``_PRODUCT_CHECKS``, of suite, check id
+and rows: ``_interval_rows`` or ``_number_rows``, one per observed side,
+given a draw and, by name, the count field, the ``closed_forms`` rule and
+the ``products`` builder.  Names are looked up when a check runs, so a
+tracer that rebinds module attributes sees every call.
+
 Identical specs (seeds included) produce byte-identical reports, and
 mismatches never abort a run.  Timings stay out of the reports; they are on
 the in-memory verdicts and in the printed summary.
@@ -38,7 +44,7 @@ from .graphs import (
 )
 from .intervals import IntervalKind, interval, pair_intervals, weakly_toll_interval
 from .oracle import witness_lengths
-from .products import cartesian, corona, generalized_corona, lexicographic, strong
+from .products import corona, generalized_corona
 
 log = logging.getLogger("wtoll.verify")
 
@@ -142,15 +148,9 @@ class Verdict:
     runtime: float = field(default=0.0, compare=False)
 
     def to_json(self) -> str:
-        payload = {
-            "check": self.check,
-            "instance": self.instance,
-            "predicted": self.predicted,
-            "observed": self.observed,
-            "status": self.status,
-            "reason": self.reason,
-            "note": self.note,
-        }
+        payload = {"check": self.check, "instance": self.instance, "predicted": self.predicted,
+                   "observed": self.observed, "status": self.status, "reason": self.reason,
+                   "note": self.note}
         return json.dumps(payload, sort_keys=True)
 
 
@@ -159,10 +159,6 @@ class Skip:
     """Stands in a row's ``ok`` place when the instance fails a hypothesis."""
 
     reason: str
-
-
-def _vs(vertex_set: VertexSet) -> list[int]:
-    return sorted(vertex_set)
 
 
 def _rng(spec: CorpusSpec, check_id: str) -> random.Random:
@@ -216,7 +212,7 @@ def _compare(instance: dict, prediction, observe, note: str = "") -> tuple:
     observed = observe()
     if prediction.target == "interval":
         predicted = prediction.vertex_set
-        return instance, _vs(predicted), _vs(observed), predicted == observed, note
+        return instance, sorted(predicted), sorted(observed), predicted == observed, note
     if prediction.target == "wtn-upper-bound":
         return instance, f"<= {prediction.value}", observed, observed <= prediction.value, note
     return instance, prediction.value, observed, observed == prediction.value, note
@@ -368,9 +364,7 @@ def _sample_factor(rng: random.Random, spec: CorpusSpec, allow_complete: bool = 
 
 
 def _sample_non_adjacent_pair(rng: random.Random, g: Graph) -> tuple[int, int]:
-    pairs = [
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adjacent(u, v)
-    ]
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adjacent(u, v)]
     return rng.choice(pairs)
 
 
@@ -392,11 +386,8 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
         claim = "engine equals stabilised oracle on every pair"
         longest, at_n = 0, 1
         for descriptor, g in interval_corpus(spec):
-            pairs = (
-                [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
-                if kind is IntervalKind.SEMI_WEAKLY_TOLL
-                else [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-            )
+            ordered = kind is IntervalKind.SEMI_WEAKLY_TOLL
+            pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u < v or ordered and u != v]
             budget = 2 * g.n + spec.budget_extra
             failure = None
             for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind)):
@@ -419,15 +410,12 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
     return rows
 
 
-_check("intervals", "wt-interval-oracle")(
-    _oracle_rows("wt-interval-oracle", IntervalKind.WEAKLY_TOLL)
-)
-_check("intervals", "swt-interval-oracle")(
-    _oracle_rows("swt-interval-oracle", IntervalKind.SEMI_WEAKLY_TOLL)
-)
-_check("intervals", "toll-interval-oracle")(
-    _oracle_rows("toll-interval-oracle", IntervalKind.TOLL)
-)
+for _check_id, _kind in (
+    ("wt-interval-oracle", IntervalKind.WEAKLY_TOLL),
+    ("swt-interval-oracle", IntervalKind.SEMI_WEAKLY_TOLL),
+    ("toll-interval-oracle", IntervalKind.TOLL),
+):
+    _check("intervals", _check_id)(_oracle_rows(_check_id, _kind))
 
 
 # -- structural lemma checks on the corpus ----------------------------------
@@ -445,7 +433,7 @@ def _extension_failures(g: Graph):
             shell = adj[u] | adj[v] | 1 << u | 1 << v
             for x in range(g.n):
                 if not (shell | wt) >> x & 1 and adj[x] & interior:
-                    yield {"pair": [u, v], "vertex": x, "interval": _vs(VertexSet(g.n, wt))}
+                    yield {"pair": [u, v], "vertex": x, "interval": list(_bits(wt))}
 
 
 @_check("structure", "neighbor-extension")
@@ -471,137 +459,110 @@ def _predicate_rows(predicate: str, claim: str):
     return rows
 
 
-_check("structure", "max-interval-decomposition")(
-    _predicate_rows(
-        "check_max_interval_decomposition",
-        "outside of a maximum interval splits into the two missed neighbourhoods",
-    )
-)
-_check("structure", "wtn-exceeds-two-criterion")(
-    _predicate_rows(
-        "check_wtn_exceeds_two_criterion",
-        "wtn > 2 iff every maximum pair misses a neighbour",
-    )
-)
+for _check_id, _predicate, _claim in (
+    ("max-interval-decomposition", "check_max_interval_decomposition",
+     "outside of a maximum interval splits into the two missed neighbourhoods"),
+    ("wtn-exceeds-two-criterion", "check_wtn_exceeds_two_criterion",
+     "wtn > 2 iff every maximum pair misses a neighbour"),
+):
+    _check("structure", _check_id)(_predicate_rows(_predicate, _claim))
 
 
 # -- closed forms vs product engine ------------------------------------------
 
 
-def _number_rows(family: str, number: str):
-    """``closed_forms.<family>_<number>`` against ``number`` (wtn or wth)
-    of the lex or corona product; two second factors are pinned."""
+def _interval_rows(count: str, rule: str, builder: str, draw):
+    """The rule against the product's weakly toll interval between the two
+    ends, ProductGraph labels, that ``draw(rng, g, h, counter)`` gives with
+    the rule's coordinates, the instance fields and a note."""
 
     def rows(spec, rng):
-        predict = getattr(closed_forms, f"{family}_{number}")
-        build = getattr(products, "lexicographic" if family == "lex" else "corona")
-        observe = getattr(convexity, number)
-        pairs = [(_sample_factor(rng, spec), h) for h in (path_graph(3), two_clique_bridge(3))]
-        while len(pairs) < getattr(spec, f"{family}_pair_count"):
-            pairs.append((_sample_factor(rng, spec), _sample_factor(rng, spec)))
-        for g, h in pairs:
-            instance = _factors(g, h)
-            if number == "wtn":
-                instance["wtn_h"] = wtn(h)[0]
-            yield _compare(instance, predict(g, h), lambda: observe(build(g, h).graph)[0])
+        predict, build = getattr(closed_forms, rule), getattr(products, builder)
+        for counter in range(getattr(spec, count)):
+            g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
+            coords, ends, extra, note = draw(rng, g, h, counter)
+            product = build(g, h)
+            a, b = map(product.labels.index, ends)
+            observe = lambda: weakly_toll_interval(product.graph, a, b)
+            yield _compare({**_factors(g, h), **extra}, predict(g, h, *coords), observe, note)
 
     return rows
 
 
-@_check("lexicographic", "lex-same-layer-interval")
-def _lex_same_layer(spec, rng):
-    for _ in range(spec.lex_interval_instances):
-        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
-        gv = rng.randrange(g.n)
-        h1, h2 = _sample_non_adjacent_pair(rng, h)
-        product = lexicographic(g, h)
-        prediction = closed_forms.lex_interval_same_layer(g, h, gv, h1, h2)
-        a, b = product.pair_index(gv, h1), product.pair_index(gv, h2)
-        instance = {**_factors(g, h), "layer": gv, "pair": [h1, h2]}
-        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
+def _number_rows(count: str, rule: str, builder: str, number: str, draw):
+    """The rule against ``number`` (wtn or wth) of the product;
+    ``draw(rng, spec, counter)`` gives the two factors and the instance
+    fields."""
+
+    def rows(spec, rng):
+        predict, build = getattr(closed_forms, rule), getattr(products, builder)
+        observe = getattr(convexity, number)
+        for counter in range(getattr(spec, count)):
+            g, h, extra = draw(rng, spec, counter)
+            product_number = lambda: observe(build(g, h).graph)[0]
+            yield _compare({**_factors(g, h), **extra}, predict(g, h), product_number)
+
+    return rows
 
 
-@_check("lexicographic", "lex-cross-layer-interval")
-def _lex_cross_layer(spec, rng):
-    for _ in range(spec.lex_interval_instances):
-        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
-        g1, g2 = _sample_non_adjacent_pair(rng, g)
-        h1, h2 = _sample_non_adjacent_pair(rng, h)
-        if rng.random() < 0.5:
-            h1, h2 = h2, h1
-        product = lexicographic(g, h)
-        prediction = closed_forms.lex_interval_cross_layer(g, h, g1, h1, g2, h2)
-        a, b = product.pair_index(g1, h1), product.pair_index(g2, h2)
-        instance = {**_factors(g, h), "ends": [[g1, h1], [g2, h2]]}
-        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
+def _same_layer(rng, g, h, counter):
+    gv, (h1, h2) = rng.randrange(g.n), _sample_non_adjacent_pair(rng, h)
+    return (gv, h1, h2), ((gv, h1), (gv, h2)), {"layer": gv, "pair": [h1, h2]}, ""
 
 
-_check("lexicographic", "lex-wtn-dichotomy")(_number_rows("lex", "wtn"))
-_check("lexicographic", "lex-hull-number")(_number_rows("lex", "wth"))
+def _cross_layer(rng, g, h, counter):
+    (g1, g2), (h1, h2) = _sample_non_adjacent_pair(rng, g), _sample_non_adjacent_pair(rng, h)
+    if rng.random() < 0.5:
+        h1, h2 = h2, h1
+    return (g1, h1, g2, h2), ((g1, h1), (g2, h2)), {"ends": [[g1, h1], [g2, h2]]}, ""
 
 
-@_check("corona", "corona-same-copy-interval")
-def _corona_same_copy(spec, rng):
-    for _ in range(spec.corona_interval_instances):
-        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
-        i = rng.randrange(g.n)
-        h1, h2 = _sample_non_adjacent_pair(rng, h)
-        product = corona(g, h)
-        prediction = closed_forms.corona_interval_same_copy(g, h, i, h1, h2)
-        a, b = product.copy_index(i, h1), product.copy_index(i, h2)
-        instance = {**_factors(g, h), "copy": i, "pair": [h1, h2]}
-        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
+def _same_copy(rng, g, h, counter):
+    i, (h1, h2) = rng.randrange(g.n), _sample_non_adjacent_pair(rng, h)
+    return (i, h1, h2), (("copy", i, h1), ("copy", i, h2)), {"copy": i, "pair": [h1, h2]}, ""
 
 
-@_check("corona", "corona-cross-copy-interval")
-def _corona_cross_copies(spec, rng):
-    for _ in range(spec.corona_interval_instances):
-        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
-        i, j = rng.sample(range(g.n), 2)
-        k = rng.randrange(h.n)
-        l = rng.randrange(h.n)
-        product = corona(g, h)
-        prediction = closed_forms.corona_interval_cross_copies(g, h, i, k, j, l)
-        a, b = product.copy_index(i, k), product.copy_index(j, l)
-        instance = {**_factors(g, h), "ends": [[i, k], [j, l]]}
-        yield _compare(instance, prediction, lambda: weakly_toll_interval(product.graph, a, b))
+def _cross_copies(rng, g, h, counter):
+    (i, j), k, l = rng.sample(range(g.n), 2), rng.randrange(h.n), rng.randrange(h.n)
+    return (i, k, j, l), (("copy", i, k), ("copy", j, l)), {"ends": [[i, k], [j, l]]}, ""
 
 
-@_check("corona", "corona-base-pair-interval")
-def _corona_base_pair(spec, rng):
-    for _ in range(spec.corona_interval_instances):
-        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
-        i, j = rng.sample(range(g.n), 2)
-        product = corona(g, h)
-        prediction = closed_forms.corona_interval_base_pair(g, h, i, j)
-        note = "adjacent-base-pair" if g.adjacent(i, j) else ""
-        a, b = product.base_index(i), product.base_index(j)
-        instance = {**_factors(g, h), "bases": [i, j]}
-        yield _compare(
-            instance, prediction, lambda: weakly_toll_interval(product.graph, a, b), note
-        )
+def _base_pair(rng, g, h, counter):
+    i, j = rng.sample(range(g.n), 2)
+    note = "adjacent-base-pair" if g.adjacent(i, j) else ""
+    return (i, j), (("base", i), ("base", j)), {"bases": [i, j]}, note
 
 
-@_check("corona", "corona-mixed-pair-interval")
-def _corona_mixed(spec, rng):
-    for counter in range(spec.corona_interval_instances):
-        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
-        if counter % 5 == 0:
-            i = j = rng.randrange(g.n)
-        else:
-            i, j = rng.sample(range(g.n), 2)
-        k = rng.randrange(h.n)
-        product = corona(g, h)
-        prediction = closed_forms.corona_interval_mixed(g, h, i, j, k)
-        note = "same-base" if i == j else "adjacent-base-pair" if g.adjacent(i, j) else ""
-        a, b = product.base_index(i), product.copy_index(j, k)
-        instance = {**_factors(g, h), "base": i, "copy": [j, k]}
-        yield _compare(
-            instance, prediction, lambda: weakly_toll_interval(product.graph, a, b), note
-        )
+def _mixed_pair(rng, g, h, counter):
+    i, j = [rng.randrange(g.n)] * 2 if counter % 5 == 0 else rng.sample(range(g.n), 2)
+    k = rng.randrange(h.n)
+    note = "same-base" if i == j else "adjacent-base-pair" if g.adjacent(i, j) else ""
+    return (i, j, k), (("base", i), ("copy", j, k)), {"base": i, "copy": [j, k]}, note
 
 
-@_check("corona", "corona-base-restriction")
+def _pinned(rng, spec, counter):
+    """Counters 0 and 1 pin the second factor to P3, then to two joined triangles."""
+    g = _sample_factor(rng, spec)
+    if counter < 2:
+        return g, path_graph(3) if counter == 0 else two_clique_bridge(3), {}
+    return g, _sample_factor(rng, spec), {}
+
+
+def _pinned_wtn(rng, spec, counter):
+    g, h, _ = _pinned(rng, spec, counter)
+    return g, h, {"wtn_h": wtn(h)[0]}
+
+
+def _some_complete(rng, spec, counter):
+    # the claim also covers complete factors, so allow them sometimes
+    g = _sample_factor(rng, spec, allow_complete=counter % 4 == 0)
+    return g, _sample_factor(rng, spec, allow_complete=counter % 4 == 1), {}
+
+
+def _two_factors(rng, spec, counter):
+    return _sample_factor(rng, spec), _sample_factor(rng, spec), {}
+
+
 def _corona_base_restriction(spec, rng):
     """The base-pair interval restricted to base vertices equals the factor
     interval (membership transfers both ways for non-adjacent base pairs)."""
@@ -609,18 +570,13 @@ def _corona_base_restriction(spec, rng):
         g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
         i, j = _sample_non_adjacent_pair(rng, g)
         product = corona(g, h)
-        inside = _vs(weakly_toll_interval(g, i, j))
+        inside = sorted(weakly_toll_interval(g, i, j))
         a, b = product.base_index(i), product.base_index(j)
         product_side = weakly_toll_interval(product.graph, a, b)
         restricted = sorted(x for x in range(g.n) if product.base_index(x) in product_side)
         yield {**_factors(g, h), "bases": [i, j]}, inside, restricted, restricted == inside
 
 
-_check("corona", "corona-wtn-dichotomy")(_number_rows("corona", "wtn"))
-_check("corona", "corona-hull-number")(_number_rows("corona", "wth"))
-
-
-@_check("corona", "generalized-corona-wtn")
 def _generalized_corona(spec, rng):
     pool = [
         lambda: path_graph(rng.randint(3, 4)),
@@ -646,22 +602,37 @@ def _generalized_corona(spec, rng):
         yield _compare(instance, prediction, lambda: wtn(generalized_corona(g, copies).graph)[0])
 
 
-@_check("cartesian-strong", "cartesian-wtn")
-def _cartesian_wtn(spec, rng):
-    for counter in range(spec.cartesian_pair_count):
-        # the claim also covers complete factors, so allow them sometimes
-        g = _sample_factor(rng, spec, allow_complete=counter % 4 == 0)
-        h = _sample_factor(rng, spec, allow_complete=counter % 4 == 1)
-        prediction = closed_forms.cartesian_wtn(g, h)
-        yield _compare(_factors(g, h), prediction, lambda: wtn(cartesian(g, h).graph)[0])
-
-
-@_check("cartesian-strong", "strong-wtn-bound")
-def _strong_wtn(spec, rng):
-    for _ in range(spec.strong_pair_count):
-        g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
-        prediction = closed_forms.strong_wtn_bound(g, h)
-        yield _compare(_factors(g, h), prediction, lambda: wtn(strong(g, h).graph)[0])
+# suite, check id, rows; the rule and builder names are looked up per run
+_PRODUCT_CHECKS = (
+    ("lexicographic", "lex-same-layer-interval", _interval_rows(
+        "lex_interval_instances", "lex_interval_same_layer", "lexicographic", _same_layer)),
+    ("lexicographic", "lex-cross-layer-interval", _interval_rows(
+        "lex_interval_instances", "lex_interval_cross_layer", "lexicographic", _cross_layer)),
+    ("lexicographic", "lex-wtn-dichotomy",
+     _number_rows("lex_pair_count", "lex_wtn", "lexicographic", "wtn", _pinned_wtn)),
+    ("lexicographic", "lex-hull-number",
+     _number_rows("lex_pair_count", "lex_wth", "lexicographic", "wth", _pinned)),
+    ("corona", "corona-same-copy-interval", _interval_rows(
+        "corona_interval_instances", "corona_interval_same_copy", "corona", _same_copy)),
+    ("corona", "corona-cross-copy-interval", _interval_rows(
+        "corona_interval_instances", "corona_interval_cross_copies", "corona", _cross_copies)),
+    ("corona", "corona-base-pair-interval", _interval_rows(
+        "corona_interval_instances", "corona_interval_base_pair", "corona", _base_pair)),
+    ("corona", "corona-mixed-pair-interval", _interval_rows(
+        "corona_interval_instances", "corona_interval_mixed", "corona", _mixed_pair)),
+    ("corona", "corona-base-restriction", _corona_base_restriction),
+    ("corona", "corona-wtn-dichotomy",
+     _number_rows("corona_pair_count", "corona_wtn", "corona", "wtn", _pinned_wtn)),
+    ("corona", "corona-hull-number",
+     _number_rows("corona_pair_count", "corona_wth", "corona", "wth", _pinned)),
+    ("corona", "generalized-corona-wtn", _generalized_corona),
+    ("cartesian-strong", "cartesian-wtn",
+     _number_rows("cartesian_pair_count", "cartesian_wtn", "cartesian", "wtn", _some_complete)),
+    ("cartesian-strong", "strong-wtn-bound",
+     _number_rows("strong_pair_count", "strong_wtn_bound", "strong", "wtn", _two_factors)),
+)
+for _suite, _check_id, _rows in _PRODUCT_CHECKS:
+    _check(_suite, _check_id)(_rows)
 
 
 # -- convexity properties ----------------------------------------------------
@@ -682,7 +653,7 @@ def _chain_failures(g: Graph):
         for pos in range(len(_CHAIN) - 1):
             if flags[pos][bits] and not flags[pos + 1][bits]:
                 yield {
-                    "subset": _vs(subset),
+                    "subset": sorted(subset),
                     "convex_under": _CHAIN[pos].value,
                     "not_convex_under": _CHAIN[pos + 1].value,
                 }
@@ -718,8 +689,8 @@ def _hull_axioms(spec, rng):
         instance = {
             "graph6": encode_graph6(g),
             "kind": kind.value,
-            "seed_set": _vs(small),
-            "superset": _vs(big),
+            "seed_set": sorted(small),
+            "superset": sorted(big),
         }
         yield instance, "extensive, idempotent, monotone", "holds" if ok else axioms, ok
 
@@ -748,10 +719,7 @@ def run_suite(name: str, spec: CorpusSpec | None = None) -> list[Verdict]:
         names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}")
-    verdicts = []
-    for check_id in names:
-        verdicts.extend(CHECKS[check_id](spec))
-    return verdicts
+    return [verdict for check_id in names for verdict in CHECKS[check_id](spec)]
 
 
 # -- summaries and report files ----------------------------------------------

@@ -9,6 +9,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from wtoll import verify
@@ -35,6 +36,63 @@ def test_tracer_rebinds_every_package_reference():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def _held(value):
+    """What ``value`` holds that a call may reach: closure cells, defaults
+    and cached functions of package code, and the items of containers."""
+    if isinstance(value, (types.FunctionType, type)) or hasattr(value, "cache_info"):
+        if not value.__module__.startswith("wtoll"):
+            return []
+        if isinstance(value, type):
+            return list(vars(value).values())
+        if not isinstance(value, types.FunctionType):
+            return [value.__wrapped__]
+        cells = [cell.cell_contents for cell in value.__closure__ or ()]
+        return [*cells, *(value.__defaults__ or ()), *(value.__kwdefaults__ or {}).values()]
+    if isinstance(value, (classmethod, staticmethod)):
+        return [value.__func__]
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return list(value)
+    return []
+
+
+def test_no_traced_function_hides_from_the_tracer(monkeypatch):
+    # Tracer.install rebinds module globals and the values of module-level
+    # dicts only; a traced function reached any other way (a closure cell,
+    # a default, a module-level tuple or list) would run untraced
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    traced = {id(fn) for fn, _ in spans.targets()}
+    modules = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "wtoll"}
+    stack = []
+    for name, module in modules.items():
+        for attr, value in vars(module).items():
+            inner = value.items() if type(value) is dict else [(None, value)]
+            stack += [(f"{name}.{attr}" + ("" if key is None else f"[{key!r}]"), v) for key, v in inner]
+    seen, hidden = set(), []
+    while stack:
+        path, value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        for held in _held(value):
+            if id(held) in traced:
+                hidden.append(f"{path} holds {held.__module__}.{held.__qualname__}")
+            stack.append((f"{path} > {getattr(held, '__qualname__', type(held).__name__)}", held))
+    assert not hidden, hidden
+    assert len(seen) > 200  # the walk covered the package
+
+
+def test_predictions_name_their_rule():
+    # perfbench/workloads.py quotes ``prediction.rule`` when a closed form fails
+    from wtoll import closed_forms
+    from wtoll.graphs import path_graph
+
+    assert closed_forms.lex_wtn(path_graph(3), path_graph(3)).rule == "lex-wtn-dichotomy"
 
 
 def test_corpus_spec_fields_are_pinned(monkeypatch):

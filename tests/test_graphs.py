@@ -226,6 +226,12 @@ def test_edge_list_text_format():
         parse_edge_list("")
 
 
+def test_edge_list_header_shares_the_graph6_range():
+    # refused on the header alone, before an adjacency list is allocated
+    with pytest.raises(ValueError, match="^258048 vertices: edge lists, like graph6, hold at most 258047$"):
+        parse_edge_list("258048 0\n")
+
+
 # -- vertex sets ------------------------------------------------------------
 
 

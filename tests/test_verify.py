@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded_random_graphs
-from wtoll.graphs import complete_graph, cycle_graph, encode_graph6
+from wtoll.graphs import complete_graph, cycle_graph, encode_graph6, path_graph, two_clique_bridge
 from wtoll.intervals import IntervalKind
 from wtoll import verify
 from wtoll.oracle import oracle_interval, witness_lengths
@@ -363,6 +363,17 @@ def test_adjacent_base_pairs_are_flagged():
     notes = {v.note for v in verdicts}
     assert "adjacent-base-pair" in notes and "same-base" in notes
     assert all(v.status == "match" for v in verdicts)
+
+
+@pytest.mark.parametrize("check_id", ["lex-wtn-dichotomy", "lex-hull-number",
+                                      "corona-wtn-dichotomy", "corona-hull-number"])
+def test_pair_counts_bound_the_verdicts(check_id):
+    # the two pinned second factors take the first two counters
+    field = "lex_pair_count" if check_id.startswith("lex") else "corona_pair_count"
+    pins = [encode_graph6(path_graph(3)), encode_graph6(two_clique_bridge(3))]
+    for count in (0, 1, 2):
+        verdicts = run_check(check_id, CorpusSpec(**{field: count}))
+        assert [v.instance["h"] for v in verdicts] == pins[:count]
 
 
 def test_default_report_bytes_are_pinned(tmp_path):
