@@ -3,10 +3,11 @@
 Graphs come from files (graph6 or edge-list text, detected by content),
 from literal ``g6:...`` strings, or from generator shorthands such as
 ``path:4``, ``cycle:5``, ``complete:4``, ``star:3``, ``two-clique-bridge:3``,
-``tree:8:SEED`` and ``random:8:0.4:SEED``.  Products built in-session keep
-their coordinate labels, which show up in interval output and DOT exports.
-All algorithmic work lives in the library modules; this file only parses
-arguments and prints.
+``tree:8:SEED`` and ``random:8:0.4:SEED``; a shorthand is refused before it
+builds anything when its vertex count exceeds 258047, the range of both file
+formats.  Products built in-session keep their coordinate labels, which show
+up in interval output and DOT exports.  All algorithmic work lives in the
+library modules; this file only parses arguments and prints.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .graphs import (
     path_graph,
     random_connected_graph,
     random_tree,
+    require_storable,
     star_graph,
     two_clique_bridge,
 )
@@ -64,6 +66,9 @@ _GENERATORS = {
     "random": lambda args: random_connected_graph(int(args[0]), float(args[1]), int(args[2])),
 }
 
+#: Vertex count of a shorthand from its first argument, where it differs.
+_VERTICES = {"star": lambda k: k + 1, "two-clique-bridge": lambda k: 2 * k + 1}
+
 
 def load_graph(source: str) -> Graph:
     """Resolve a --graph style argument into a Graph."""
@@ -71,8 +76,10 @@ def load_graph(source: str) -> Graph:
         return parse_graph6(source[3:])
     head, _, rest = source.partition(":")
     if head in _GENERATORS and rest:
+        args = rest.split(":")
         try:
-            return _GENERATORS[head](rest.split(":"))
+            require_storable(_VERTICES.get(head, int)(int(args[0])))
+            return _GENERATORS[head](args)
         except (IndexError, ValueError) as exc:
             raise ValueError(f"bad generator spec {source!r}: {exc}") from None
     path = Path(source)

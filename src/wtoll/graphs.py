@@ -471,13 +471,19 @@ def encode_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def require_storable(n: int) -> None:
+    """Refuse a vertex count beyond the range of both text formats, before
+    anything of that size is allocated."""
+    if n > _G6_MAX_N:
+        raise ValueError(f"{n} vertices: edge lists, like graph6, hold at most {_G6_MAX_N}")
+
+
 def parse_edge_list(text: str) -> Graph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise ValueError("edge-list text must start with a 'n m' line")
     n, m = (int(tok) for tok in rows[0])
-    if n > _G6_MAX_N:
-        raise ValueError(f"{n} vertices: edge lists, like graph6, hold at most {_G6_MAX_N}")
+    require_storable(n)
     if len(rows) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")
     edges = []

@@ -20,9 +20,15 @@ single vertex, which must also immediately precede the final v.  A state is
 n * deg(u) * (deg(v) + 1) of them; (vertex, first hub) for semi weakly toll
 walks, at most n * deg(u); and (vertex, stage) for tolled walks, at most 2n.
 Each search is linear in its states and their transitions, so graphs of a
-few dozen vertices are cheap.  ``enumerated_interval`` re-derives the same
-sets by literal depth-first sequence enumeration up to a walk budget (no
-memoisation) and the tests keep the two in agreement on tiny graphs.
+few dozen vertices are cheap.  A search runs forward from u to every state,
+then backward from the states that finish a walk at v.  The semi weakly
+toll transitions read N(u) alone, so ``witness_lengths`` runs one forward
+search for consecutive pairs with the same source and only the backward
+search per target; it holds one source's search at a time.  The weakly toll
+and toll transitions read N(v) as well, so they search once per pair.
+``enumerated_interval`` re-derives the same sets by literal depth-first
+sequence enumeration up to a walk budget (no memoisation) and the tests
+keep the two in agreement on tiny graphs.
 """
 
 from __future__ import annotations
@@ -112,14 +118,10 @@ _CHECKERS = {
 # -- memoised walk-state search -----------------------------------------
 
 
-def _state_lengths(starts, transitions, finished, u: int, v: int) -> dict[int, int]:
-    """Shared scaffolding: min edges to reach each state (forward) and to
-    complete a walk from it (backward), by breadth-first search run to
-    exhaustion over the finite state space.  Returns, for every vertex some
-    state of which splits a valid walk, the fewest edges of such a walk; u
-    and v get the shortest valid walk.  BFS distances are exact, so the
-    vertices of qualifying walks within a budget B are those whose length is
-    at most B."""
+def _forward(starts, transitions) -> tuple[dict, dict]:
+    """Breadth-first search run to exhaustion over the finite state space:
+    the fewest edges from u to each state (a start state is one edge away),
+    and the predecessors of each state."""
     fwd: dict = {}
     preds: dict = {}
     queue = deque()
@@ -135,10 +137,19 @@ def _state_lengths(starts, transitions, finished, u: int, v: int) -> dict[int, i
             if nxt not in fwd:
                 fwd[nxt] = d + 1
                 queue.append(nxt)
+    return fwd, preds
 
+
+def _backward(fwd: dict, preds: dict, finished, u: int, v: int) -> dict[int, int]:
+    """The fewest edges to complete a walk from each state of a forward
+    search, back from its ``finished`` states and their extra edges.
+    Returns, for every vertex some state of which splits a valid walk, the
+    fewest edges of such a walk; u and v get the shortest valid walk.  BFS
+    distances are exact, so the vertices of qualifying walks within a
+    budget B are those whose length is at most B."""
     # every finished state of one kind needs the same number of extra edges,
     # so a plain multi-source BFS gives exact distances
-    bwd = dict(finished(fwd))
+    bwd = dict(finished)
     queue = deque(bwd)
     while queue:
         state = queue.popleft()
@@ -183,13 +194,13 @@ def _weakly_toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
     def transitions(state):
         return step(*state)
 
-    def finished(fwd):
-        return [(state, 0) for state in fwd if state[0] == v]
-
-    return _state_lengths(starts, transitions, finished, u, v)
+    fwd, preds = _forward(starts, transitions)
+    return _backward(fwd, preds, [(state, 0) for state in fwd if state[0] == v], u, v)
 
 
-def _semi_weakly_toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
+def _semi_weakly_toll_search(adj: list[set[int]], u: int) -> tuple[dict, dict]:
+    """The forward search from u.  Its transitions read N(u) alone, so one
+    search serves every target."""
     nu = adj[u]
 
     def transitions(state):
@@ -199,12 +210,23 @@ def _semi_weakly_toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, 
                 continue
             yield (w, a)
 
-    starts = [(a, a) for a in sorted(nu)]
+    return _forward([(a, a) for a in sorted(nu)], transitions)
 
-    def finished(fwd):
-        return [(state, 0) for state in fwd if state[0] == v]
 
-    return _state_lengths(starts, transitions, finished, u, v)
+def _semi_weakly_toll_rows(adj: list[set[int]], pairs) -> Iterator[dict[int, int]]:
+    """One forward search per run of pairs sharing a source, then one
+    backward search per target; only the current source's search is held."""
+    source = None
+    for u, v in pairs:
+        if u == v:
+            yield {u: 0}
+            continue
+        if u != source:
+            source = u
+            fwd, preds = _semi_weakly_toll_search(adj, u)
+        # a walk may end at v after any first hub a
+        finished = [((v, a), 0) for a in adj[u] if (v, a) in fwd]
+        yield _backward(fwd, preds, finished, u, v)
 
 
 def _toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
@@ -224,18 +246,14 @@ def _toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
                 continue
             yield (w, LAST if w in nv else MID)
 
-    starts = [(a, LAST if a in nv else MID) for a in sorted(nu)]
-
-    def finished(fwd):
-        # one more edge hops from the penultimate vertex onto v
-        return [(state, 1) for state in fwd if state[1] == LAST]
-
-    return _state_lengths(starts, transitions, finished, u, v)
+    fwd, preds = _forward([(a, LAST if a in nv else MID) for a in sorted(nu)], transitions)
+    # one more edge hops from the penultimate vertex onto v
+    return _backward(fwd, preds, [(state, 1) for state in fwd if state[1] == LAST], u, v)
 
 
-_BUILDERS = {
+#: Searches of one pair each: their transitions read N(v) as well as N(u).
+_PER_PAIR = {
     IntervalKind.WEAKLY_TOLL: _weakly_toll_lengths,
-    IntervalKind.SEMI_WEAKLY_TOLL: _semi_weakly_toll_lengths,
     IntervalKind.TOLL: _toll_lengths,
 }
 
@@ -247,9 +265,11 @@ def witness_lengths(
     walk through each vertex such a walk visits, of any length (u and v get
     the shortest one).  ``oracle_interval`` at a budget B is the set of
     vertices whose length is at most B.  The graph is checked and its
-    neighbour sets built once for all pairs."""
+    neighbour sets built once for all pairs.  Semi weakly toll pairs that
+    follow one another with the same source share its forward search, so
+    grouping the pairs by source makes one forward search per source."""
     kind = IntervalKind(kind)
-    if kind not in _BUILDERS:
+    if kind not in ORACLE_KINDS:
         raise ValueError(f"no walk oracle for interval kind {kind.value!r}")
     require_connected(graph, "walk oracle")
     pairs = list(pairs)
@@ -257,7 +277,9 @@ def witness_lengths(
         graph._check_vertex(u)
         graph._check_vertex(v)
     adj = _neighbour_sets(graph)
-    build = _BUILDERS[kind]
+    if kind is IntervalKind.SEMI_WEAKLY_TOLL:
+        return _semi_weakly_toll_rows(adj, pairs)
+    build = _PER_PAIR[kind]
     return ({u: 0} if u == v else build(adj, u, v) for u, v in pairs)
 
 

@@ -3,6 +3,7 @@ import logging
 
 import pytest
 
+from wtoll import cli
 from wtoll.cli import load_graph, main
 from wtoll.graphs import Graph, cycle_graph, encode_edge_list, encode_graph6, path_graph
 
@@ -132,6 +133,27 @@ def test_cli_error_paths(capsys):
     code, _, err = run_cli(capsys, "interval", "--product", "lex", "--g", "path:3",
                            "--u", "0", "--v", "1")
     assert code == 1 and "needs --g and --h" in err
+
+
+def test_generator_counts_share_the_file_formats_range(capsys, monkeypatch):
+    # the guard must refuse before any builder runs: path:258048 alone
+    # would allocate gigabytes of adjacency masks
+    def unreachable(*args):
+        raise AssertionError("generator ran")
+
+    for name in ("path_graph", "star_graph", "two_clique_bridge", "random_connected_graph"):
+        monkeypatch.setattr(cli, name, unreachable)
+    for spec, n in (("path:258048", 258048), ("star:258047", 258048),
+                    ("two-clique-bridge:129024", 258049), ("random:3000000:0.1:1", 3000000)):
+        with pytest.raises(ValueError, match=f"^bad generator spec '{spec}': {n} vertices: "
+                                             "edge lists, like graph6, hold at most 258047$"):
+            load_graph(spec)
+    code, out, err = run_cli(capsys, "interval", "--graph", "path:258048", "--u", "0", "--v", "1")
+    assert code == 1 and out == "" and "258048 vertices" in err
+    # the largest counts in range reach their generator
+    for spec in ("path:258047", "star:258046", "two-clique-bridge:129023"):
+        with pytest.raises(AssertionError, match="generator ran"):
+            load_graph(spec)
 
 
 def test_invariant_refuses_oversized_search(capsys, monkeypatch):

@@ -1,9 +1,14 @@
 """The walk oracle is the reference for everything else, so it gets checked
 against raw unmemoised sequence enumeration before anything trusts it."""
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
 from conftest import seeded_random_graphs, small_named_graphs
+from wtoll import oracle
 from wtoll.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -196,6 +201,69 @@ def test_witness_lengths_are_minimal():
                     assert lengths == {u: 0}
                 else:
                     assert lengths == first_in, (g.edges(), kind, u, v)
+
+
+def _shared_search_zoo():
+    return [g for n in range(2, 6) for g in connected_graphs(n)] + seeded_random_graphs(
+        12, sizes=(7, 8), base_seed=1414
+    )
+
+
+def test_swt_shared_search_equals_one_search_per_pair():
+    swt = IntervalKind.SEMI_WEAKLY_TOLL
+    rng = random.Random(14)
+    for g in _shared_search_zoo():
+        pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+        fresh = {(u, v): next(witness_lengths(g, [(u, v)], swt)) for u, v in pairs}
+        orders = {
+            "shuffled": rng.sample(pairs, len(pairs)),
+            # consecutive pairs change source on every step
+            "interleaved": sorted(pairs, key=lambda pair: (pair[1], pair[0])),
+            "repeated": [pair for pair in pairs for _ in range(2)] + pairs,
+            # a u == v pair of another source between two of the same source
+            "u == v between": [pair for u, v in pairs if u != v for pair in ((u, v), (v, v))],
+        }
+        for name, order in orders.items():
+            searched = list(witness_lengths(g, order, swt))
+            assert searched == [fresh[pair] for pair in order], (g.edges(), name)
+
+
+def test_swt_runs_one_forward_search_per_source(monkeypatch):
+    searches = []
+    forward = oracle._forward
+
+    def counted(starts, transitions):
+        searches.append(1)
+        return forward(starts, transitions)
+
+    monkeypatch.setattr(oracle, "_forward", counted)
+    for g in [CLAW, path_graph(5), *seeded_random_graphs(4, sizes=(7, 8), base_seed=1515)]:
+        grouped = [(u, v) for u in range(g.n) for v in range(g.n)]
+        for kind, expected in (
+            (IntervalKind.SEMI_WEAKLY_TOLL, g.n),
+            (IntervalKind.WEAKLY_TOLL, g.n * (g.n - 1)),
+        ):
+            searches.clear()
+            list(witness_lengths(g, grouped, kind))
+            assert len(searches) == expected, (g.edges(), kind)
+
+
+def test_oracle_imports_no_engine_logic():
+    # the oracle reads only the kind names and the table type from
+    # ``intervals``, and none of the sweeps the engines are built from
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    from_intervals, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("intervals" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if (node.module or "").rpartition(".")[2] == "intervals":
+                from_intervals |= names
+            imported |= names
+    assert from_intervals == {"IntervalKind", "PairIntervals"}
+    forbidden = {"intervals", "_BODIES", "component_boundaries", "neighbourhood"}
+    assert not imported & forbidden
 
 
 def test_witness_lengths_checks_its_input():

@@ -10,7 +10,7 @@ import pytest
 from conftest import seeded_random_graphs
 from wtoll.graphs import complete_graph, cycle_graph, encode_graph6, path_graph, two_clique_bridge
 from wtoll.intervals import IntervalKind
-from wtoll import verify
+from wtoll import intervals, verify
 from wtoll.oracle import oracle_interval, witness_lengths
 from wtoll.verify import (
     CHECKS,
@@ -450,3 +450,16 @@ def test_oracle_check_flags_witnesses_beyond_2n(monkeypatch):
     payload = verdicts[0].observed
     assert payload == {"pair": [0, 1], "engine": [0, 1], "oracle": [0, 1], "oracle_at_2n": []}
     assert all(type(x) is int for members in payload.values() for x in members)
+
+
+@pytest.mark.parametrize("check_id, kind, swapped", [
+    ("wt-interval-oracle", IntervalKind.WEAKLY_TOLL, "_toll"),
+    ("swt-interval-oracle", IntervalKind.SEMI_WEAKLY_TOLL, "_weakly_toll"),
+    ("toll-interval-oracle", IntervalKind.TOLL, "_weakly_toll"),
+])
+def test_oracle_checks_read_the_engine_bodies(monkeypatch, check_id, kind, swapped):
+    # the checks call the engine bodies, not ``interval()``: a wrong body in
+    # ``intervals._BODIES`` must show as mismatches
+    monkeypatch.setitem(intervals._BODIES, kind, getattr(intervals, swapped))
+    statuses = [v.status for v in run_check(check_id, TINY)]
+    assert "mismatch" in statuses, check_id
