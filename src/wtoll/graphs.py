@@ -6,6 +6,18 @@ targets (factors up to ~10 vertices, products and random graphs up to a few
 hundred).  Graphs never change after construction, so each keeps what it
 derives (connectivity, pair-interval tables), computed lazily and
 idempotently, and graphs stay safe to share across threads.
+
+Masks reach a graph by one of two doors.  ``Graph(adj)`` takes masks from
+outside and checks them in full: in range, loop-free and symmetric, the
+last by looking up the reverse of every edge.  ``Graph._built(adj)`` skips
+those checks and is private to the builders whose masks are valid by
+construction: ``from_edge_list`` (which checks each edge and sets both
+directions, and through which the parsers and generators go),
+``random_connected_graph`` (which sets both directions of every edge it
+adds), ``delete_vertices`` (an induced subgraph of a valid graph) and the
+product builders ``products._pair_product`` and
+``products.generalized_corona`` (which place valid factors' masks and a
+symmetric join).  ``tests/test_graphs.py`` pins that list.
 """
 
 from __future__ import annotations
@@ -170,8 +182,6 @@ class Graph:
 
     def __init__(self, adj: Sequence[int]):
         n = len(adj)
-        if n < 1:
-            raise ValueError("a graph needs at least one vertex")
         for v, mask in enumerate(adj):
             if mask >> n:
                 raise ValueError(f"adjacency of {v} mentions vertices >= {n}")
@@ -181,7 +191,22 @@ class Graph:
             for w in _bits(mask):
                 if adj[w] >> v & 1 == 0:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
-        object.__setattr__(self, "n", n)
+        self._store(adj)
+
+    @classmethod
+    def _built(cls, adj: Sequence[int]) -> "Graph":
+        """A graph on masks that are in range, loop-free and symmetric by
+        construction, checking only that there is a vertex.  Only the
+        builders the module docstring lists may call it: a mask from
+        anywhere else goes through ``Graph(adj)`` or ``from_edge_list``."""
+        graph = cls.__new__(cls)
+        graph._store(adj)
+        return graph
+
+    def _store(self, adj: Sequence[int]) -> None:
+        if len(adj) < 1:
+            raise ValueError("a graph needs at least one vertex")
+        object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "_adj", tuple(adj))
         object.__setattr__(self, "_derived", {})
 
@@ -198,7 +223,7 @@ class Graph:
                 raise ValueError(f"self-loop ({u}, {u}) not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(adj)
+        return cls._built(adj)
 
     # -- basic queries -------------------------------------------------
 
@@ -269,7 +294,7 @@ class Graph:
         for new, old in enumerate(kept):
             for w in _bits(self._adj[old] & ~removed.mask):
                 adj[new] |= 1 << index[w]
-        return Graph(adj), kept
+        return Graph._built(adj), kept
 
     # -- equality is structural ------------------------------------------
 
@@ -382,7 +407,7 @@ def random_connected_graph(k: int, p: float, seed: int) -> Graph:
         # ordered by smallest member, as a fresh sweep would give it
         low, high = sorted((a, b))
         comps[low] |= comps.pop(high)
-    return Graph(adj)
+    return Graph._built(adj)
 
 
 # -- graph6 (nauty's formats.txt, n <= 258047) ---------------------------

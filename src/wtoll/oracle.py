@@ -365,8 +365,14 @@ def enumerated_interval(
 
 
 def _pair_table(graph: Graph) -> PairIntervals:
-    wt = IntervalKind.WEAKLY_TOLL
-    return PairIntervals(graph.n, wt, lambda u, v: oracle_interval(graph, u, v, wt).mask)
+    """The weakly toll pair table of a graph the caller has checked, its
+    neighbour sets built once for every pair the search reads."""
+    adj = _neighbour_sets(graph)
+    return PairIntervals(
+        graph.n,
+        IntervalKind.WEAKLY_TOLL,
+        lambda u, v: sum(1 << x for x in _weakly_toll_lengths(adj, u, v)),
+    )
 
 
 def oracle_wtn(graph: Graph) -> tuple[int, VertexSet]:

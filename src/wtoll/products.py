@@ -129,7 +129,13 @@ class ProductGraph:
 def _pair_product(g: Graph, h: Graph, kind: ProductKind, across) -> ProductGraph:
     """Vertex (a, b) is a * |V(H)| + b.  It sees N_H(b) in its own layer and
     the mask ``across(b)`` in the layer of each G-neighbour of a; the
-    products differ only in ``across``."""
+    products differ only in ``across``.
+
+    ``across`` must be a symmetric relation on V(H): b' is in ``across(b)``
+    iff b is in ``across(b')``.  With that and valid factors the masks are
+    symmetric, loop-free and in range by construction, so the graph is
+    built without the symmetry walk of ``Graph(adj)``, and an asymmetric
+    ``across`` would go unnoticed."""
     m = h.n
     own = h.adjacency_masks()
     reach = [across(b) for b in range(m)]
@@ -140,7 +146,7 @@ def _pair_product(g: Graph, h: Graph, kind: ProductKind, across) -> ProductGraph
         layers = sum(1 << c * m for c in range(g.n) if near >> c & 1)
         adj.extend(own[b] << a * m | reach[b] * layers for b in range(m))
     labels = tuple((a, b) for a in range(g.n) for b in range(m))
-    return ProductGraph(Graph(adj), kind, (g, h), labels)
+    return ProductGraph(Graph._built(adj), kind, (g, h), labels)
 
 
 def lexicographic(g: Graph, h: Graph) -> ProductGraph:
@@ -164,7 +170,9 @@ def strong(g: Graph, h: Graph) -> ProductGraph:
 
 
 def generalized_corona(g: Graph, copies: Sequence[Graph]) -> ProductGraph:
-    """One copy per base vertex, each fully joined to its base vertex."""
+    """One copy per base vertex, each fully joined to its base vertex.  The
+    base and copy masks come from valid graphs and the join sets both
+    directions, so the graph is built without re-checking them."""
     if len(copies) != g.n:
         raise ValueError(f"need exactly {g.n} attached graphs, got {len(copies)}")
     labels: list = [("base", i) for i in range(g.n)]
@@ -174,7 +182,7 @@ def generalized_corona(g: Graph, copies: Sequence[Graph]) -> ProductGraph:
         labels.extend(("copy", i, h) for h in range(copy.n))
         adj[i] |= (1 << copy.n) - 1 << start
         adj.extend(mask << start | 1 << i for mask in copy.adjacency_masks())
-    graph = Graph(adj)
+    graph = Graph._built(adj)
     identical = all(copy is copies[0] or copy == copies[0] for copy in copies)
     if identical:
         return ProductGraph(graph, ProductKind.CORONA, (g, copies[0]), tuple(labels))

@@ -46,6 +46,13 @@ def seeded_random_graphs(count: int, sizes=(5, 6, 7, 8), base_seed: int = 7100) 
     return out
 
 
+def rechecked(graph: Graph) -> Graph:
+    """The graph rebuilt from its masks by the fully checked ``Graph(adj)``,
+    which raises if a builder emitted an out-of-range, looped or asymmetric
+    mask."""
+    return Graph(list(graph.adjacency_masks()))
+
+
 @pytest.fixture(scope="session")
 def graph_zoo():
     return small_named_graphs()

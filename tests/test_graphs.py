@@ -1,8 +1,13 @@
+import ast
 import hashlib
+import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import wtoll
+from conftest import rechecked
 from wtoll.graphs import (
     Graph,
     Graph6FormatError,
@@ -21,6 +26,7 @@ from wtoll.graphs import (
     star_graph,
     two_clique_bridge,
 )
+from wtoll.verify import connected_graphs
 
 
 def test_from_edge_list_basic():
@@ -73,6 +79,74 @@ def test_adjacency_masks_are_checked():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Graph(adj)
+
+
+def test_a_graph_needs_a_vertex():
+    for make in (lambda: Graph([]), lambda: Graph.from_edge_list(0, [])):
+        with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
+            make()
+
+
+def test_builders_emit_masks_the_public_check_accepts():
+    rng = random.Random(1500)
+    for k in range(1, 13):
+        for p in (0.0, 0.15, 0.4, 0.7, 1.0):
+            for seed in range(3):
+                g = random_connected_graph(k, p, seed)
+                assert rechecked(g) == g
+                removed = [v for v in range(k) if rng.random() < 0.4][: k - 1]
+                sub, _ = g.delete_vertices(removed)
+                assert rechecked(sub) == sub
+                edges = g.edges()
+                mixed = [(v, u) for u, v in edges] + edges[::2]
+                rng.shuffle(mixed)
+                again = Graph.from_edge_list(k, mixed)
+                assert again == g and rechecked(again) == again
+    for g in connected_graphs(5):
+        decoded = parse_graph6(encode_graph6(g))
+        assert decoded == g and rechecked(decoded) == decoded
+
+
+def _attribute_uses(names: set[str]) -> set[tuple[str, str, str]]:
+    """(name, module file, innermost enclosing function) of every attribute,
+    bare name or string constant of the package that reads one of ``names``."""
+    uses = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            name = None
+        if isinstance(name, str) and name in names:
+            uses.add((name, module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(wtoll.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return uses
+
+
+def test_unchecked_constructor_stays_in_the_builders():
+    # ``Graph._built`` skips the checks of ``Graph(adj)``; only builders whose
+    # masks are valid by construction reach it, so masks from outside (cli,
+    # parsers, verify) keep going through ``from_edge_list``'s edge checks or
+    # the full check, and the attribute setter is shared by the two doors only
+    assert _attribute_uses({"_built", "_store"}) == {
+        ("_built", "graphs.py", "from_edge_list"),
+        ("_built", "graphs.py", "random_connected_graph"),
+        ("_built", "graphs.py", "delete_vertices"),
+        ("_built", "products.py", "_pair_product"),
+        ("_built", "products.py", "generalized_corona"),
+        ("_store", "graphs.py", "__init__"),
+        ("_store", "graphs.py", "_built"),
+    }
 
 
 def test_component_boundaries():

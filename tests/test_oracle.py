@@ -248,6 +248,22 @@ def test_swt_runs_one_forward_search_per_source(monkeypatch):
             assert len(searches) == expected, (g.edges(), kind)
 
 
+def test_oracle_minima_build_the_neighbour_sets_once(monkeypatch):
+    builds = []
+    neighbour_sets = oracle._neighbour_sets
+
+    def counted(graph):
+        builds.append(1)
+        return neighbour_sets(graph)
+
+    monkeypatch.setattr(oracle, "_neighbour_sets", counted)
+    for g in seeded_random_graphs(3, sizes=(10,), base_seed=1510):
+        for search in (oracle_wtn, oracle_wth):
+            builds.clear()
+            search(g)
+            assert len(builds) == 1, (search.__name__, g.edges())
+
+
 def test_oracle_imports_no_engine_logic():
     # the oracle reads only the kind names and the table type from
     # ``intervals``, and none of the sweeps the engines are built from

@@ -2,7 +2,7 @@ from typing import Sequence
 
 import pytest
 
-from conftest import seeded_random_graphs
+from conftest import rechecked, seeded_random_graphs
 from wtoll.graphs import Graph, complete_graph, cycle_graph, path_graph
 from wtoll.products import (
     ProductGraph,
@@ -260,3 +260,18 @@ def test_generalized_corona_matches_edge_list_reference():
                 _same_product(got, _reference_generalized_corona(g, copies))
     lone = generalized_corona(path_graph(3), [complete_graph(1)] * 3)
     assert lone.kind is ProductKind.CORONA and lone.graph.edge_count == 2 + 3
+
+
+def test_products_emit_masks_the_public_check_accepts():
+    factors = [g for n in range(1, 5) for g in connected_graphs(n)]
+    for g in factors:
+        for h in factors:
+            copies = [(h, g)[i % 2] for i in range(g.n)]
+            for product in (
+                lexicographic(g, h),
+                cartesian(g, h),
+                strong(g, h),
+                corona(g, h),
+                generalized_corona(g, copies),
+            ):
+                assert rechecked(product.graph) == product.graph, (product, g.edges(), h.edges())
