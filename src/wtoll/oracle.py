@@ -2,30 +2,41 @@
 
 Everything here works directly from the walk definitions and is kept
 deliberately independent of the closed-form engines in ``intervals``: the
-adjacency structure is rebuilt as plain neighbour sets and the walk
+adjacency structure is rebuilt as plain neighbour lists and the walk
 conditions are restated from scratch.  These oracles exist to catch any
 mistake in the derived characterisations, so they favour obviousness over
 speed.
 
-A weakly toll walk may revisit its hubs, so its definition bounds no walk
-length, and raw vertex sequences cannot be enumerated exhaustively.
-``witness_lengths`` and ``oracle_interval`` instead search a finite state
-space breadth-first, with no length cap, so their intervals are exact by
-construction.  The state is sound because the walk constraints become
-per-vertex checks once the hub vertices are fixed: for a weakly toll walk,
-after the first step every appended vertex adjacent to u must equal the
-first hub, and all vertices adjacent to v seen anywhere must agree on a
-single vertex, which must also immediately precede the final v.  A state is
-(vertex, first hub, last hub) for weakly toll walks, at most
-n * deg(u) * (deg(v) + 1) of them; (vertex, first hub) for semi weakly toll
-walks, at most n * deg(u); and (vertex, stage) for tolled walks, at most 2n.
-Each search is linear in its states and their transitions, so graphs of a
-few dozen vertices are cheap.  A search runs forward from u to every state,
-then backward from the states that finish a walk at v.  The semi weakly
-toll transitions read N(u) alone, so ``witness_lengths`` runs one forward
-search for consecutive pairs with the same source and only the backward
-search per target; it holds one source's search at a time.  The weakly toll
-and toll transitions read N(v) as well, so they search once per pair.
+A weakly toll walk u = w_0, w_1, ..., w_k = v may revisit its hubs, so its
+definition bounds no walk length, and raw vertex sequences cannot be
+enumerated exhaustively.  ``witness_lengths`` and ``oracle_interval``
+instead fix the hubs a = w_1 and b = w_(k-1).  Once they are fixed, the
+definition only says which vertices the walk may not visit: each w_i with
+i >= 1 that is adjacent to u must be a, and each w_i with i <= k - 1 that
+is adjacent to v must be b.  So, for u and v not adjacent, the weakly toll
+walks with hubs a and b are exactly u, then any walk from a to b in G
+without (N(u) - a) | (N(v) - b), then v, unless that set holds a or b.
+Every such sequence meets the conditions (sound), and every weakly toll
+walk is one of them for its own hubs (complete).  The shortest one through
+a vertex x has 2 + d(a, x) + d(x, b) edges, two breadth-first distances in
+that subgraph, and the least over the hub choices is exact with no cap on
+walk length.  Semi weakly toll walks have no condition on the v side:
+without N(u) - a, x gets 1 + d(a, x) + d(x, v).  Tolled walks meet each
+neighbourhood only at their hub, so a common neighbour c gives u, c, v,
+and every other walk runs from N(u) - N(v) to N(v) - N(u) without
+N(u) & N(v), u and v, touching each side only at its end.  So x gets
+2 plus its distances from the two sides: one multi-source search from
+each, which stops at the other side's hubs.  For an adjacent pair, v
+must be the first hub of a weakly toll or tolled walk and u the last, so
+u, v is the only walk; a semi weakly toll walk then has the first hub v
+and may roam from it.
+
+Each search is a plain breadth-first search, linear in the edges it
+reaches.  A weakly toll pair runs at most two per hub choice, at most
+deg(u) * deg(v) choices; a toll pair runs two.  The semi weakly toll
+searches from the hubs read N(u) alone, so ``witness_lengths`` runs them
+once for consecutive pairs with the same source, holding one source's at a
+time, and each target runs one more per hub that reaches it.
 ``enumerated_interval`` re-derives the same sets by literal depth-first
 sequence enumeration up to a walk budget (no memoisation) and the tests
 keep the two in agreement on tiny graphs.
@@ -33,7 +44,6 @@ keep the two in agreement on tiny graphs.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 from .convexity import least_covering_set, least_hull_set
@@ -43,69 +53,70 @@ from .intervals import IntervalKind, PairIntervals
 ORACLE_KINDS = (IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL, IntervalKind.TOLL)
 
 
-def _neighbour_sets(graph: Graph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(graph.n)]
+def _neighbour_lists(graph: Graph) -> list[list[int]]:
+    """Each vertex's neighbours, in increasing order."""
+    nbrs: list[list[int]] = [[] for _ in range(graph.n)]
     for a, b in graph.edges():
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
 
 
 # -- verbatim walk validity --------------------------------------------
 
 
-def _weakly_toll_walk(adj: list[set[int]], walk: list[int], u: int, v: int) -> bool:
+def _weakly_toll_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
     if not walk or walk[0] != u or walk[-1] != v:
         return False
     k = len(walk) - 1
     if k == 0:
         return True
-    if any(walk[i + 1] not in adj[walk[i]] for i in range(k)):
+    if any(walk[i + 1] not in nbrs[walk[i]] for i in range(k)):
         return False
-    if any(walk[i] in adj[u] and walk[i] != walk[1] for i in range(1, k + 1)):
+    if any(walk[i] in nbrs[u] and walk[i] != walk[1] for i in range(1, k + 1)):
         return False
-    if any(v in adj[walk[i]] and walk[i] != walk[k - 1] for i in range(k)):
+    if any(v in nbrs[walk[i]] and walk[i] != walk[k - 1] for i in range(k)):
         return False
     return True
 
 
-def _semi_weakly_toll_walk(adj: list[set[int]], walk: list[int], u: int, v: int) -> bool:
+def _semi_weakly_toll_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
     if not walk or walk[0] != u or walk[-1] != v:
         return False
     k = len(walk) - 1
     if k == 0:
         return True
-    if any(walk[i + 1] not in adj[walk[i]] for i in range(k)):
+    if any(walk[i + 1] not in nbrs[walk[i]] for i in range(k)):
         return False
-    return not any(walk[i] in adj[u] and walk[i] != walk[1] for i in range(1, k + 1))
+    return not any(walk[i] in nbrs[u] and walk[i] != walk[1] for i in range(1, k + 1))
 
 
-def _tolled_walk(adj: list[set[int]], walk: list[int], u: int, v: int) -> bool:
+def _tolled_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
     if not walk or walk[0] != u or walk[-1] != v:
         return False
     k = len(walk) - 1
     if k == 0:
         return True
-    if any(walk[i + 1] not in adj[walk[i]] for i in range(k)):
+    if any(walk[i + 1] not in nbrs[walk[i]] for i in range(k)):
         return False
-    if any((walk[i] in adj[u]) != (i == 1) for i in range(1, k + 1)):
+    if any((walk[i] in nbrs[u]) != (i == 1) for i in range(1, k + 1)):
         return False
-    return not any((walk[i] in adj[v]) != (i == k - 1) for i in range(k))
+    return not any((walk[i] in nbrs[v]) != (i == k - 1) for i in range(k))
 
 
 def is_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
     """Check the three defining conditions of a weakly toll walk as stated."""
-    return _weakly_toll_walk(_neighbour_sets(graph), walk, u, v)
+    return _weakly_toll_walk(_neighbour_lists(graph), walk, u, v)
 
 
 def is_semi_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
     """Like the weakly toll conditions but restricted to the source side."""
-    return _semi_weakly_toll_walk(_neighbour_sets(graph), walk, u, v)
+    return _semi_weakly_toll_walk(_neighbour_lists(graph), walk, u, v)
 
 
 def is_tolled_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
     """Positional form: w_i is adjacent to u iff i == 1, and to v iff i == k-1."""
-    return _tolled_walk(_neighbour_sets(graph), walk, u, v)
+    return _tolled_walk(_neighbour_lists(graph), walk, u, v)
 
 
 _CHECKERS = {
@@ -115,107 +126,77 @@ _CHECKERS = {
 }
 
 
-# -- memoised walk-state search -----------------------------------------
+# -- hub-fixed breadth-first search -------------------------------------
 
 
-def _forward(starts, transitions) -> tuple[dict, dict]:
-    """Breadth-first search run to exhaustion over the finite state space:
-    the fewest edges from u to each state (a start state is one edge away),
-    and the predecessors of each state."""
-    fwd: dict = {}
-    preds: dict = {}
-    queue = deque()
-    for state in starts:
-        if state not in fwd:
-            fwd[state] = 1
-            queue.append(state)
-    while queue:
-        state = queue.popleft()
-        d = fwd[state]
-        for nxt in transitions(state):
-            preds.setdefault(nxt, []).append(state)
-            if nxt not in fwd:
-                fwd[nxt] = d + 1
-                queue.append(nxt)
-    return fwd, preds
+def _distances(nbrs: list[list[int]], banned, sources, stops=()) -> dict[int, int]:
+    """Breadth-first distances from ``sources`` in the graph without the
+    ``banned`` vertices.  A vertex in ``stops`` gets its distance but is not
+    searched beyond."""
+    dist = dict.fromkeys(sources, 0)
+    queue = list(dist)
+    for x in queue:
+        if x in stops:
+            continue
+        d = dist[x] + 1
+        for w in nbrs[x]:
+            if w not in dist and w not in banned:
+                dist[w] = d
+                queue.append(w)
+    return dist
 
 
-def _backward(fwd: dict, preds: dict, finished, u: int, v: int) -> dict[int, int]:
-    """The fewest edges to complete a walk from each state of a forward
-    search, back from its ``finished`` states and their extra edges.
-    Returns, for every vertex some state of which splits a valid walk, the
-    fewest edges of such a walk; u and v get the shortest valid walk.  BFS
-    distances are exact, so the vertices of qualifying walks within a
-    budget B are those whose length is at most B."""
-    # every finished state of one kind needs the same number of extra edges,
-    # so a plain multi-source BFS gives exact distances
-    bwd = dict(finished)
-    queue = deque(bwd)
-    while queue:
-        state = queue.popleft()
-        d = bwd[state]
-        for prev in preds.get(state, ()):
-            if prev not in bwd:
-                bwd[prev] = d + 1
-                queue.append(prev)
+def _join(lengths: dict[int, int], edges: int, before: dict, after: dict) -> None:
+    """For each vertex both searches reach, keep the lesser of its length
+    so far and ``edges`` plus its distances in the two searches."""
+    for x, d in before.items():
+        if x in after:
+            total = edges + d + after[x]
+            if total < lengths.get(x, total + 1):
+                lengths[x] = total
 
-    lengths: dict[int, int] = {}
-    for state, back in bwd.items():
-        edges = fwd[state] + back
-        if edges < lengths.get(state[0], edges + 1):
-            lengths[state[0]] = edges
+
+def _ends(lengths: dict[int, int], u: int, v: int) -> dict[int, int]:
+    """u and v lie on every walk, so they get the shortest one."""
     if lengths:
         lengths[u] = lengths[v] = min(lengths.values())
     return lengths
 
 
-def _weakly_toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
-    nu, nv = adj[u], adj[v]
-    b0 = u if u in nv else -1
-
-    def step(cur: int, a: int, b: int):
-        for w in adj[cur]:
-            if w in nu and w != a:
+def _weakly_toll_lengths(nbrs: list[list[int]], u: int, v: int) -> dict[int, int]:
+    nu, nv = set(nbrs[u]), set(nbrs[v])
+    if v in nu:
+        # v must be the first hub and u the last, so the walk is u, v
+        return {u: 1, v: 1}
+    lengths: dict[int, int] = {}
+    for a in nbrs[u]:
+        for b in nbrs[v]:
+            banned = (nu - {a}) | (nv - {b})
+            if a in banned or b in banned:
                 continue
-            if w in nv:
-                if b == -1:
-                    yield (w, a, w)
-                elif b == w:
-                    yield (w, a, b)
-            else:
-                yield (w, a, b)
-
-    starts = []
-    for a in sorted(nu):
-        if a in nv and b0 not in (-1, a):
-            continue
-        starts.append((a, a, (a if a in nv else b0)))
-
-    def transitions(state):
-        return step(*state)
-
-    fwd, preds = _forward(starts, transitions)
-    return _backward(fwd, preds, [(state, 0) for state in fwd if state[0] == v], u, v)
+            from_a = _distances(nbrs, banned, (a,))
+            if b in from_a:
+                from_b = from_a if a == b else _distances(nbrs, banned, (b,))
+                _join(lengths, 2, from_a, from_b)
+    return _ends(lengths, u, v)
 
 
-def _semi_weakly_toll_search(adj: list[set[int]], u: int) -> tuple[dict, dict]:
-    """The forward search from u.  Its transitions read N(u) alone, so one
-    search serves every target."""
-    nu = adj[u]
-
-    def transitions(state):
-        cur, a = state
-        for w in adj[cur]:
-            if w in nu and w != a:
-                continue
-            yield (w, a)
-
-    return _forward([(a, a) for a in sorted(nu)], transitions)
+def _hub_searches(nbrs: list[list[int]], u: int) -> list[tuple[set[int], dict]]:
+    """For each first hub a of a semi weakly toll walk from u: the vertices
+    the walk may not visit after u, N(u) - a, and the distances from a
+    without them.  They read N(u) alone, so they serve every target."""
+    nu = set(nbrs[u])
+    searches = []
+    for a in nbrs[u]:
+        banned = nu - {a}
+        searches.append((banned, _distances(nbrs, banned, (a,))))
+    return searches
 
 
-def _semi_weakly_toll_rows(adj: list[set[int]], pairs) -> Iterator[dict[int, int]]:
-    """One forward search per run of pairs sharing a source, then one
-    backward search per target; only the current source's search is held."""
+def _semi_weakly_toll_rows(nbrs: list[list[int]], pairs) -> Iterator[dict[int, int]]:
+    """The hub searches once per run of pairs sharing a source, then one
+    search back from the target per hub that reaches it; only the current
+    source's searches are held."""
     source = None
     for u, v in pairs:
         if u == v:
@@ -223,39 +204,27 @@ def _semi_weakly_toll_rows(adj: list[set[int]], pairs) -> Iterator[dict[int, int
             continue
         if u != source:
             source = u
-            fwd, preds = _semi_weakly_toll_search(adj, u)
-        # a walk may end at v after any first hub a
-        finished = [((v, a), 0) for a in adj[u] if (v, a) in fwd]
-        yield _backward(fwd, preds, finished, u, v)
+            hubs = _hub_searches(nbrs, u)
+        lengths: dict[int, int] = {}
+        for banned, from_hub in hubs:
+            if v in from_hub:
+                _join(lengths, 1, from_hub, _distances(nbrs, banned, (v,)))
+        yield _ends(lengths, u, v)
 
 
-def _toll_lengths(adj: list[set[int]], u: int, v: int) -> dict[int, int]:
-    nu, nv = adj[u], adj[v]
+def _toll_lengths(nbrs: list[list[int]], u: int, v: int) -> dict[int, int]:
+    nu, nv = set(nbrs[u]), set(nbrs[v])
     if v in nu:
         # a longer walk would place v at a position other than 1 while v is
         # adjacent to the start, violating the positional condition
         return {u: 1, v: 1}
-    MID, LAST = 0, 1
-
-    def transitions(state):
-        cur, stage = state
-        if stage == LAST:
-            return
-        for w in adj[cur]:
-            if w in nu or w == u:
-                continue
-            yield (w, LAST if w in nv else MID)
-
-    fwd, preds = _forward([(a, LAST if a in nv else MID) for a in sorted(nu)], transitions)
-    # one more edge hops from the penultimate vertex onto v
-    return _backward(fwd, preds, [(state, 1) for state in fwd if state[1] == LAST], u, v)
-
-
-#: Searches of one pair each: their transitions read N(v) as well as N(u).
-_PER_PAIR = {
-    IntervalKind.WEAKLY_TOLL: _weakly_toll_lengths,
-    IntervalKind.TOLL: _toll_lengths,
-}
+    common = nu & nv
+    lengths = dict.fromkeys(common, 2)
+    banned = common | {u, v}
+    only_u, only_v = nu - nv, nv - nu
+    from_u = _distances(nbrs, banned, only_u, only_v)
+    _join(lengths, 2, from_u, _distances(nbrs, banned, only_v, only_u))
+    return _ends(lengths, u, v)
 
 
 def witness_lengths(
@@ -264,23 +233,28 @@ def witness_lengths(
     """For each ``(u, v)`` in ``pairs``, the fewest edges of a qualifying
     walk through each vertex such a walk visits, of any length (u and v get
     the shortest one).  ``oracle_interval`` at a budget B is the set of
-    vertices whose length is at most B.  The graph is checked and its
-    neighbour sets built once for all pairs.  Semi weakly toll pairs that
-    follow one another with the same source share its forward search, so
-    grouping the pairs by source makes one forward search per source."""
+    vertices whose length is at most B.  The graph and each distinct
+    endpoint are checked, and the neighbour lists built, once for all
+    pairs.  Semi weakly toll pairs that follow one another with the same
+    source share its hub searches, so grouping the pairs by source makes
+    one set of hub searches per source."""
     kind = IntervalKind(kind)
     if kind not in ORACLE_KINDS:
         raise ValueError(f"no walk oracle for interval kind {kind.value!r}")
     require_connected(graph, "walk oracle")
     pairs = list(pairs)
+    checked: set[int] = set()
     for u, v in pairs:
-        graph._check_vertex(u)
-        graph._check_vertex(v)
-    adj = _neighbour_sets(graph)
+        for x in (u, v):
+            # 1.0 == 1 and hashes alike, but only the int is a vertex
+            if type(x) is not int or x not in checked:
+                graph._check_vertex(x)
+                checked.add(x)
+    nbrs = _neighbour_lists(graph)
     if kind is IntervalKind.SEMI_WEAKLY_TOLL:
-        return _semi_weakly_toll_rows(adj, pairs)
-    build = _PER_PAIR[kind]
-    return ({u: 0} if u == v else build(adj, u, v) for u, v in pairs)
+        return _semi_weakly_toll_rows(nbrs, pairs)
+    lengths = _weakly_toll_lengths if kind is IntervalKind.WEAKLY_TOLL else _toll_lengths
+    return ({u: 0} if u == v else lengths(nbrs, u, v) for u, v in pairs)
 
 
 def _check_budget(budget: int) -> int:
@@ -335,20 +309,20 @@ def enumerated_interval(
         )
     if u == v:
         return VertexSet(graph.n, 1 << u)
-    adj = _neighbour_sets(graph)
+    nbrs = _neighbour_lists(graph)
     toll = kind is IntervalKind.TOLL
     mask = 0
     walk = [u]
 
     def extend() -> None:
         nonlocal mask
-        if walk[-1] == v and checker(adj, walk, u, v):
+        if walk[-1] == v and checker(nbrs, walk, u, v):
             for x in walk:
                 mask |= 1 << x
         if len(walk) > max_len:
             return
-        for w in sorted(adj[walk[-1]]):
-            if len(walk) > 1 and w in adj[u] and (toll or w != walk[1]):
+        for w in nbrs[walk[-1]]:
+            if len(walk) > 1 and w in nbrs[u] and (toll or w != walk[1]):
                 continue
             walk.append(w)
             extend()
@@ -361,17 +335,17 @@ def enumerated_interval(
 # -- exact minima by subset search --------------------------------------
 #
 # The subset searches are shared with ``convexity``; the pair table they
-# search over is filled here from ``oracle_interval`` alone.
+# search over is filled here from the hub-fixed search alone.
 
 
 def _pair_table(graph: Graph) -> PairIntervals:
     """The weakly toll pair table of a graph the caller has checked, its
-    neighbour sets built once for every pair the search reads."""
-    adj = _neighbour_sets(graph)
+    neighbour lists built once for every pair the search reads."""
+    nbrs = _neighbour_lists(graph)
     return PairIntervals(
         graph.n,
         IntervalKind.WEAKLY_TOLL,
-        lambda u, v: sum(1 << x for x in _weakly_toll_lengths(adj, u, v)),
+        lambda u, v: sum(1 << x for x in _weakly_toll_lengths(nbrs, u, v)),
     )
 
 

@@ -187,20 +187,48 @@ def test_one_search_gives_the_interval_at_smaller_budgets():
 
 
 def test_witness_lengths_are_minimal():
-    # each vertex's length is the least budget whose interval holds it
+    # each vertex's length is the least budget at which literal enumeration
+    # finds a walk through it
     for g in [g for n in range(2, 5) for g in connected_graphs(n)] + [CLAW, path_graph(5)]:
         for kind in ORACLE_KINDS:
             pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
             top = 2 * g.n + 2
             for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind)):
-                first_in = {}
-                for budget in range(1, top + 1):
-                    for x in oracle_interval(g, u, v, kind, budget):
-                        first_in.setdefault(x, budget)
                 if u == v:
                     assert lengths == {u: 0}
-                else:
-                    assert lengths == first_in, (g.edges(), kind, u, v)
+                    continue
+                first_in = {}
+                for budget in range(1, top + 1):
+                    for x in enumerated_interval(g, u, v, kind, budget):
+                        first_in.setdefault(x, budget)
+                assert lengths == first_in, (g.edges(), kind, u, v)
+
+
+#: The path 2 - 0 - 1 - 3.
+BENT_PATH = Graph.from_edge_list(4, [(2, 0), (0, 1), (1, 3)])
+
+
+@pytest.mark.parametrize(
+    "kind, u, v, expected",
+    [
+        # hub 2 would have to come back through 0 to reach the common
+        # neighbour 1, which is a second vertex of N(0); a ban of
+        # (N(u) | N(v)) - {a, b} would let it in at length 4
+        (IntervalKind.WEAKLY_TOLL, 0, 3, {0: 2, 1: 2, 3: 2}),
+        (IntervalKind.TOLL, 0, 3, {0: 2, 1: 2, 3: 2}),
+        (IntervalKind.SEMI_WEAKLY_TOLL, 0, 3, {0: 2, 1: 2, 3: 2}),
+        (IntervalKind.TOLL, 2, 3, {2: 3, 0: 3, 1: 3, 3: 3}),
+        # adjacent: v is the only first hub and u the only last one
+        (IntervalKind.WEAKLY_TOLL, 0, 1, {0: 1, 1: 1}),
+        (IntervalKind.TOLL, 0, 1, {0: 1, 1: 1}),
+        # a target next to its source is the only first hub, and the walk
+        # may leave it and come back: 0, 1, 3, 1
+        (IntervalKind.SEMI_WEAKLY_TOLL, 0, 1, {0: 1, 1: 1, 3: 3}),
+        (IntervalKind.SEMI_WEAKLY_TOLL, 1, 0, {1: 1, 0: 1, 2: 3}),
+    ],
+)
+def test_hand_checked_witness_lengths(kind, u, v, expected):
+    assert next(witness_lengths(BENT_PATH, [(u, v)], kind)) == expected
 
 
 def _shared_search_zoo():
@@ -228,35 +256,42 @@ def test_swt_shared_search_equals_one_search_per_pair():
             assert searched == [fresh[pair] for pair in order], (g.edges(), name)
 
 
-def test_swt_runs_one_forward_search_per_source(monkeypatch):
-    searches = []
-    forward = oracle._forward
+def test_swt_runs_the_hub_searches_once_per_source(monkeypatch):
+    sources = []
+    hub_searches = oracle._hub_searches
 
-    def counted(starts, transitions):
-        searches.append(1)
-        return forward(starts, transitions)
+    def counted(nbrs, u):
+        sources.append(u)
+        return hub_searches(nbrs, u)
 
-    monkeypatch.setattr(oracle, "_forward", counted)
+    monkeypatch.setattr(oracle, "_hub_searches", counted)
+    swt = IntervalKind.SEMI_WEAKLY_TOLL
     for g in [CLAW, path_graph(5), *seeded_random_graphs(4, sizes=(7, 8), base_seed=1515)]:
         grouped = [(u, v) for u in range(g.n) for v in range(g.n)]
-        for kind, expected in (
-            (IntervalKind.SEMI_WEAKLY_TOLL, g.n),
-            (IntervalKind.WEAKLY_TOLL, g.n * (g.n - 1)),
+        interleaved = sorted(grouped, key=lambda pair: (pair[1], pair[0]))
+        for order, expected in (
+            (grouped, list(range(g.n))),
+            # a u == v pair neither searches nor drops the current source
+            (interleaved, [u for v in range(g.n) for u in range(g.n) if u != v]),
         ):
-            searches.clear()
+            sources.clear()
+            list(witness_lengths(g, order, swt))
+            assert sources == expected, g.edges()
+        for kind in (IntervalKind.WEAKLY_TOLL, IntervalKind.TOLL):
+            sources.clear()
             list(witness_lengths(g, grouped, kind))
-            assert len(searches) == expected, (g.edges(), kind)
+            assert sources == [], (g.edges(), kind)
 
 
-def test_oracle_minima_build_the_neighbour_sets_once(monkeypatch):
+def test_oracle_minima_build_the_neighbour_lists_once(monkeypatch):
     builds = []
-    neighbour_sets = oracle._neighbour_sets
+    neighbour_lists = oracle._neighbour_lists
 
     def counted(graph):
         builds.append(1)
-        return neighbour_sets(graph)
+        return neighbour_lists(graph)
 
-    monkeypatch.setattr(oracle, "_neighbour_sets", counted)
+    monkeypatch.setattr(oracle, "_neighbour_lists", counted)
     for g in seeded_random_graphs(3, sizes=(10,), base_seed=1510):
         for search in (oracle_wtn, oracle_wth):
             builds.clear()
@@ -289,6 +324,25 @@ def test_witness_lengths_checks_its_input():
         witness_lengths(CLAW, [(0, 1), (0, 4)], IntervalKind.TOLL)
     with pytest.raises(ValueError, match="no walk oracle"):
         witness_lengths(CLAW, [(0, 1)], IntervalKind.GEODESIC)
+    # equal to a checked vertex, but not a vertex
+    with pytest.raises(ValueError, match="vertex 1.0 out of range"):
+        witness_lengths(CLAW, [(0, 1), (1.0, 2)], IntervalKind.TOLL)
+
+
+def test_witness_lengths_checks_each_endpoint_once(monkeypatch):
+    checked = []
+    check_vertex = Graph._check_vertex
+
+    def counted(graph, v):
+        checked.append(v)
+        return check_vertex(graph, v)
+
+    monkeypatch.setattr(Graph, "_check_vertex", counted)
+    g = path_graph(5)
+    for kind in ORACLE_KINDS:
+        checked.clear()
+        witness_lengths(g, [(u, v) for u in range(g.n) for v in range(g.n)], kind)
+        assert checked == list(range(g.n)), kind
 
 
 # -- exact minima -----------------------------------------------------------
