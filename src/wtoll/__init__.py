@@ -47,7 +47,7 @@ from .intervals import (
     toll_interval,
     weakly_toll_interval,
 )
-from .oracle import oracle_interval, oracle_wth, oracle_wtn, witness_lengths
+from .oracle import oracle_interval, witness_lengths
 from .products import (
     ProductGraph,
     ProductKind,

@@ -136,32 +136,22 @@ def _least_set(table: PairIntervals, spans: Callable[[object, int], bool]) -> tu
     raise AssertionError("the full vertex set always spans itself")
 
 
-def least_covering_set(table: PairIntervals) -> tuple[int, VertexSet]:
-    """Least k with a k-set whose pairwise intervals in ``table`` cover all
-    its vertices, and the lexicographically least such set."""
-    full = (1 << table.n) - 1
+def wtn(graph: Graph) -> tuple[int, VertexSet]:
+    """Exact weakly toll number: the least k with a k-set whose pairwise
+    intervals cover all vertices, and the lexicographically least such set."""
+    table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll number")
+    require_non_trivial(graph, "weakly toll number")
+    full = (1 << graph.n) - 1
     return _least_set(table, lambda pair, seed: closure_mask(pair, seed, full) == full)
 
 
-def least_hull_set(table: PairIntervals) -> tuple[int, VertexSet]:
-    """Least k with a k-set whose closure fixpoint over ``table`` is all its
-    vertices, and the lexicographically least such set."""
-    full = (1 << table.n) - 1
-    return _least_set(table, lambda pair, seed: _hull_mask(pair, seed, full) == full)
-
-
-def wtn(graph: Graph) -> tuple[int, VertexSet]:
-    """Exact weakly toll number with the lexicographically least witness."""
-    table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll number")
-    require_non_trivial(graph, "weakly toll number")
-    return least_covering_set(table)
-
-
 def wth(graph: Graph) -> tuple[int, VertexSet]:
-    """Exact weakly toll hull number with the lexicographically least witness."""
+    """Exact weakly toll hull number: the least k with a k-set whose closure
+    fixpoint is all vertices, and the lexicographically least such set."""
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
-    return least_hull_set(table)
+    full = (1 << graph.n) - 1
+    return _least_set(table, lambda pair, seed: _hull_mask(pair, seed, full) == full)
 
 
 def _report(graph: Graph, u: int, v: int, inside: VertexSet, is_maximum: bool) -> IntervalReport:

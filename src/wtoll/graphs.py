@@ -259,7 +259,8 @@ class Graph:
         return sum(m.bit_count() for m in self._adj) // 2
 
     def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < self.n):
+        # a bool is an int, but True and False are not vertices 1 and 0
+        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
 
     # -- structure -----------------------------------------------------

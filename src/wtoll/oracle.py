@@ -36,19 +36,17 @@ reaches.  A weakly toll pair runs at most two per hub choice, at most
 deg(u) * deg(v) choices; a toll pair runs two.  The semi weakly toll
 searches from the hubs read N(u) alone, so ``witness_lengths`` runs them
 once for consecutive pairs with the same source, holding one source's at a
-time, and each target runs one more per hub that reaches it.
-``enumerated_interval`` re-derives the same sets by literal depth-first
-sequence enumeration up to a walk budget (no memoisation) and the tests
-keep the two in agreement on tiny graphs.
+time, and each target runs one more per hub that reaches it.  The tests
+hold the lengths to a literal depth-first enumeration of vertex
+sequences on tiny graphs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .convexity import least_covering_set, least_hull_set
-from .graphs import Graph, VertexSet, require_connected, require_non_trivial
-from .intervals import IntervalKind, PairIntervals
+from .graphs import Graph, VertexSet, require_connected
+from .intervals import IntervalKind
 
 ORACLE_KINDS = (IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL, IntervalKind.TOLL)
 
@@ -117,13 +115,6 @@ def is_semi_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> b
 def is_tolled_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:
     """Positional form: w_i is adjacent to u iff i == 1, and to v iff i == k-1."""
     return _tolled_walk(_neighbour_lists(graph), walk, u, v)
-
-
-_CHECKERS = {
-    IntervalKind.WEAKLY_TOLL: _weakly_toll_walk,
-    IntervalKind.SEMI_WEAKLY_TOLL: _semi_weakly_toll_walk,
-    IntervalKind.TOLL: _tolled_walk,
-}
 
 
 # -- hub-fixed breadth-first search -------------------------------------
@@ -232,8 +223,8 @@ def witness_lengths(
 ) -> Iterator[dict[int, int]]:
     """For each ``(u, v)`` in ``pairs``, the fewest edges of a qualifying
     walk through each vertex such a walk visits, of any length (u and v get
-    the shortest one).  ``oracle_interval`` at a budget B is the set of
-    vertices whose length is at most B.  The graph and each distinct
+    the shortest one).  Its keys are the exact interval, which
+    ``oracle_interval`` returns for one pair.  The graph and each distinct
     endpoint are checked, and the neighbour lists built, once for all
     pairs.  Semi weakly toll pairs that follow one another with the same
     source share its hub searches, so grouping the pairs by source makes
@@ -246,7 +237,7 @@ def witness_lengths(
     checked: set[int] = set()
     for u, v in pairs:
         for x in (u, v):
-            # 1.0 == 1 and hashes alike, but only the int is a vertex
+            # 1.0 and True equal 1 and hash alike, but only the int is a vertex
             if type(x) is not int or x not in checked:
                 graph._check_vertex(x)
                 checked.add(x)
@@ -257,107 +248,8 @@ def witness_lengths(
     return ({u: 0} if u == v else lengths(nbrs, u, v) for u, v in pairs)
 
 
-def _check_budget(budget: int) -> int:
-    if budget < 1:
-        raise ValueError("walk budget must allow at least one edge")
-    return budget
-
-
-def oracle_interval(
-    graph: Graph, u: int, v: int, kind: IntervalKind, budget: int | None = None
-) -> VertexSet:
-    """Vertices visited by some qualifying walk: the exact interval, or,
-    given ``budget``, only the walks of at most ``budget`` edges."""
-    limit = float("inf") if budget is None else _check_budget(budget)
+def oracle_interval(graph: Graph, u: int, v: int, kind: IntervalKind) -> VertexSet:
+    """Vertices visited by some qualifying walk from u to v: the exact
+    interval, read off ``witness_lengths``."""
     (lengths,) = witness_lengths(graph, [(u, v)], kind)
-    return VertexSet(graph.n, sum(1 << x for x, edges in lengths.items() if edges <= limit))
-
-
-#: Largest graph ``enumerated_interval`` accepts.  Its cost grows like
-#: degree**budget: the worst 5-vertex graph takes seconds per kind at 2n + 2,
-#: and a 6-vertex graph had not finished its three kinds after minutes.
-ENUMERATION_MAX_N = 5
-
-
-def enumerated_interval(
-    graph: Graph, u: int, v: int, kind: IntervalKind, budget: int | None = None
-) -> VertexSet:
-    """Unmemoised ground truth: depth-first over raw vertex sequences of at
-    most ``budget`` edges (2n + 2 by default, which is also the largest
-    budget accepted; graphs above ``ENUMERATION_MAX_N`` vertices are
-    refused).
-
-    Every extension keeps the walk-edge constraint and drops dead prefixes.
-    For all three kinds the u-side condition is a separate test of each
-    position i >= 1, given w_1: a vertex adjacent to u must be w_1 for
-    weakly and semi weakly toll walks, and must sit at position 1 for
-    tolled walks.  So a prefix that fails it at some position fails it in
-    every extension, and skipping the prefix loses no valid walk.  Full
-    sequences ending at v are still validated with the verbatim condition
-    checkers.
-    """
-    kind = IntervalKind(kind)
-    checker = _CHECKERS[kind]
-    require_connected(graph, "walk enumeration")
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    max_len = 2 * graph.n + 2 if budget is None else _check_budget(budget)
-    if graph.n > ENUMERATION_MAX_N or max_len > 2 * graph.n + 2:
-        raise ValueError(
-            f"walk enumeration is limited to {ENUMERATION_MAX_N} vertices and 2n + 2 "
-            f"edges; requested n={graph.n}, budget {max_len}"
-        )
-    if u == v:
-        return VertexSet(graph.n, 1 << u)
-    nbrs = _neighbour_lists(graph)
-    toll = kind is IntervalKind.TOLL
-    mask = 0
-    walk = [u]
-
-    def extend() -> None:
-        nonlocal mask
-        if walk[-1] == v and checker(nbrs, walk, u, v):
-            for x in walk:
-                mask |= 1 << x
-        if len(walk) > max_len:
-            return
-        for w in nbrs[walk[-1]]:
-            if len(walk) > 1 and w in nbrs[u] and (toll or w != walk[1]):
-                continue
-            walk.append(w)
-            extend()
-            walk.pop()
-
-    extend()
-    return VertexSet(graph.n, mask)
-
-
-# -- exact minima by subset search --------------------------------------
-#
-# The subset searches are shared with ``convexity``; the pair table they
-# search over is filled here from the hub-fixed search alone.
-
-
-def _pair_table(graph: Graph) -> PairIntervals:
-    """The weakly toll pair table of a graph the caller has checked, its
-    neighbour lists built once for every pair the search reads."""
-    nbrs = _neighbour_lists(graph)
-    return PairIntervals(
-        graph.n,
-        IntervalKind.WEAKLY_TOLL,
-        lambda u, v: sum(1 << x for x in _weakly_toll_lengths(nbrs, u, v)),
-    )
-
-
-def oracle_wtn(graph: Graph) -> tuple[int, VertexSet]:
-    """Exact weakly toll number with the lexicographically least witness."""
-    require_connected(graph, "weakly toll number")
-    require_non_trivial(graph, "weakly toll number")
-    return least_covering_set(_pair_table(graph))
-
-
-def oracle_wth(graph: Graph) -> tuple[int, VertexSet]:
-    """Exact weakly toll hull number with the lexicographically least witness."""
-    require_connected(graph, "weakly toll hull number")
-    require_non_trivial(graph, "weakly toll hull number")
-    return least_hull_set(_pair_table(graph))
+    return VertexSet(graph.n, sum(1 << x for x in lengths))

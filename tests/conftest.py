@@ -2,6 +2,7 @@ import pytest
 
 from wtoll.graphs import (
     Graph,
+    VertexSet,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -9,6 +10,7 @@ from wtoll.graphs import (
     star_graph,
     two_clique_bridge,
 )
+from wtoll.oracle import witness_lengths
 
 
 def small_named_graphs() -> list[tuple[str, Graph]]:
@@ -44,6 +46,13 @@ def seeded_random_graphs(count: int, sizes=(5, 6, 7, 8), base_seed: int = 7100) 
         p = (0.25, 0.4, 0.6)[i % 3]
         out.append(random_connected_graph(n, p, base_seed + i))
     return out
+
+
+def walks_within(graph: Graph, u: int, v: int, kind, budget: int) -> VertexSet:
+    """Vertices visited by a qualifying walk from u to v of at most
+    ``budget`` edges: the oracle's shortest witness lengths, cut at it."""
+    (lengths,) = witness_lengths(graph, [(u, v)], kind)
+    return VertexSet(graph.n, sum(1 << x for x, edges in lengths.items() if edges <= budget))
 
 
 def rechecked(graph: Graph) -> Graph:

@@ -36,7 +36,7 @@ from wtoll.intervals import (
     pair_intervals,
     semi_weakly_toll_interval,
 )
-from wtoll.oracle import oracle_wth, oracle_wtn
+from wtoll.oracle import oracle_interval
 from wtoll.products import cartesian, lexicographic
 from wtoll.verify import connected_graphs
 
@@ -116,12 +116,21 @@ def test_graph_checked_once_per_call(monkeypatch):
 
 def test_wtn_known_values():
     assert wtn(cycle_graph(5))[0] == 2
-    assert wtn(complete_graph(5))[0] == 5
+    for n in (4, 5):
+        assert wtn(complete_graph(n))[0] == n
     value, witness = wtn(two_clique_bridge(3))
     assert value == 4 and sorted(witness) == [1, 2, 4, 5]
     assert wtn(two_clique_bridge(4))[0] == 6
     for seed in range(8):
         assert wtn(random_tree(5 + seed % 4, seed))[0] == 2
+        assert wtn(random_tree(4 + seed, seed))[0] == 2
+
+
+def test_wtn_bounds_and_hull():
+    for g in seeded_random_graphs(8, sizes=(5, 6), base_seed=77):
+        value, witness = wtn(g)
+        assert 2 <= value <= g.n and len(witness) == value
+        assert wth(g)[0] <= value
 
 
 def test_wtn_with_two_leaves_is_two():
@@ -139,10 +148,13 @@ def test_wtn_errors():
 
 
 def test_wtn_and_wth_match_oracle():
+    # the filled table is all that wtn and wth read of the graph, so it is
+    # where an exact search over oracle intervals could differ from them
+    wt = IntervalKind.WEAKLY_TOLL
     for g in seeded_random_graphs(10, sizes=(5, 6, 7), base_seed=3400):
-        assert wtn(g) == oracle_wtn(g)
-        assert wth(g) == oracle_wth(g)
         assert wth(g)[0] <= wtn(g)[0]
+        for (u, v), mask in pair_intervals(g, wt).filled().items():
+            assert mask == oracle_interval(g, u, v, wt).mask, (g.edges(), u, v)
 
 
 def test_wtn_two_iff_full_pair_interval():
@@ -345,8 +357,6 @@ def test_exact_search_refuses_oversized_stages(monkeypatch):
     monkeypatch.setattr(convexity, "MAX_SEARCH_SUBSETS", 3)
     with pytest.raises(InfeasibleSearchError, match="on 6 vertices with 2 forced would try 4 sets of size 3"):
         wth(hull_three)
-    with pytest.raises(InfeasibleSearchError):
-        oracle_wth(hull_three)
     assert issubclass(InfeasibleSearchError, ValueError)
 
 

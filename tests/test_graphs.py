@@ -26,6 +26,8 @@ from wtoll.graphs import (
     star_graph,
     two_clique_bridge,
 )
+from wtoll.intervals import IntervalKind, interval, weakly_toll_interval
+from wtoll.oracle import witness_lengths
 from wtoll.verify import connected_graphs
 
 
@@ -58,6 +60,26 @@ def test_neighborhoods():
         assert (p4.closed_neighborhood(v) - p4.neighbors(v)) == VertexSet.from_iterable(4, [v])
     with pytest.raises(ValueError):
         p4.neighbors(4)
+
+
+def test_bools_are_not_vertices():
+    # True and False equal 1 and 0 and hash alike, but name no vertex
+    star = star_graph(3)
+    calls = [
+        lambda: star.adjacent(False, True),
+        lambda: star.adjacent(0, True),
+        lambda: weakly_toll_interval(star, True, 2),
+        lambda: interval(star, 2, False, IntervalKind.TOLL),
+        lambda: witness_lengths(star, [(True, 1)], IntervalKind.TOLL),
+        # the int 1 checked first does not let True through
+        lambda: witness_lengths(star, [(1, 2), (True, 2)], IntervalKind.WEAKLY_TOLL),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="vertex (True|False) out of range 0..3"):
+            call()
+    assert star.adjacent(0, 1) and not star.adjacent(1, 2)
+    assert sorted(weakly_toll_interval(star, 1, 2)) == [0, 1, 2, 3]
+    assert next(witness_lengths(star, [(1, 2)], IntervalKind.TOLL)) == {0: 2, 1: 2, 2: 2}
 
 
 def test_connectivity_and_completeness():

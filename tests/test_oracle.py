@@ -2,12 +2,15 @@
 against raw unmemoised sequence enumeration before anything trusts it."""
 
 import ast
+import functools
+import operator
 import random
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
-from conftest import seeded_random_graphs, small_named_graphs
+from conftest import seeded_random_graphs, small_named_graphs, walks_within
 from wtoll import oracle
 from wtoll.graphs import (
     DisconnectedGraphError,
@@ -16,18 +19,16 @@ from wtoll.graphs import (
     complete_graph,
     path_graph,
     random_tree,
+    require_connected,
     two_clique_bridge,
 )
 from wtoll.intervals import IntervalKind
 from wtoll.oracle import (
     ORACLE_KINDS,
-    enumerated_interval,
     is_semi_weakly_toll_walk,
     is_tolled_walk,
     is_weakly_toll_walk,
     oracle_interval,
-    oracle_wth,
-    oracle_wtn,
     witness_lengths,
 )
 from wtoll.verify import connected_graphs
@@ -55,7 +56,76 @@ def test_walk_checkers_reject_non_walks():
     assert not is_tolled_walk(CLAW, [0, 3, 2], 0, 2)
 
 
-# -- memoised oracle vs literal enumeration -------------------------------
+# -- literal enumeration, the reference the oracle is held to -------------
+
+_CHECKERS = {
+    IntervalKind.WEAKLY_TOLL: oracle._weakly_toll_walk,
+    IntervalKind.SEMI_WEAKLY_TOLL: oracle._semi_weakly_toll_walk,
+    IntervalKind.TOLL: oracle._tolled_walk,
+}
+
+#: Largest graph ``enumerated_interval`` accepts.  Its cost grows like
+#: degree**budget: the worst 5-vertex graph takes seconds per kind at 2n + 2,
+#: and a 6-vertex graph had not finished its three kinds after minutes.
+ENUMERATION_MAX_N = 5
+
+
+def enumerated_interval(
+    graph: Graph, u: int, v: int, kind: IntervalKind, budget: int | None = None
+) -> VertexSet:
+    """Unmemoised ground truth: depth-first over raw vertex sequences of at
+    most ``budget`` edges (2n + 2 by default, which is also the largest
+    budget accepted; graphs above ``ENUMERATION_MAX_N`` vertices are
+    refused).
+
+    Every extension keeps the walk-edge constraint and drops dead prefixes.
+    For all three kinds the u-side condition is a separate test of each
+    position i >= 1, given w_1: a vertex adjacent to u must be w_1 for
+    weakly and semi weakly toll walks, and must sit at position 1 for
+    tolled walks.  So a prefix that fails it at some position fails it in
+    every extension, and skipping the prefix loses no valid walk.  Full
+    sequences ending at v are still validated with the verbatim condition
+    checkers.
+    """
+    kind = IntervalKind(kind)
+    checker = _CHECKERS[kind]
+    require_connected(graph, "walk enumeration")
+    graph._check_vertex(u)
+    graph._check_vertex(v)
+    max_len = 2 * graph.n + 2 if budget is None else budget
+    if max_len < 1:
+        raise ValueError("walk budget must allow at least one edge")
+    if graph.n > ENUMERATION_MAX_N or max_len > 2 * graph.n + 2:
+        raise ValueError(
+            f"walk enumeration is limited to {ENUMERATION_MAX_N} vertices and 2n + 2 "
+            f"edges; requested n={graph.n}, budget {max_len}"
+        )
+    if u == v:
+        return VertexSet(graph.n, 1 << u)
+    nbrs = oracle._neighbour_lists(graph)
+    toll = kind is IntervalKind.TOLL
+    mask = 0
+    walk = [u]
+
+    def extend() -> None:
+        nonlocal mask
+        if walk[-1] == v and checker(nbrs, walk, u, v):
+            for x in walk:
+                mask |= 1 << x
+        if len(walk) > max_len:
+            return
+        for w in nbrs[walk[-1]]:
+            if len(walk) > 1 and w in nbrs[u] and (toll or w != walk[1]):
+                continue
+            walk.append(w)
+            extend()
+            walk.pop()
+
+    extend()
+    return VertexSet(graph.n, mask)
+
+
+# -- oracle vs literal enumeration ----------------------------------------
 
 
 def _tiny_graphs():
@@ -70,7 +140,7 @@ def test_oracle_matches_enumeration_on_tiny_graphs():
         for kind in ORACLE_KINDS:
             for u in range(g.n):
                 for v in range(g.n):
-                    assert oracle_interval(g, u, v, kind, budget) == enumerated_interval(
+                    assert walks_within(g, u, v, kind, budget) == enumerated_interval(
                         g, u, v, kind, budget
                     ), (g.edges(), kind, u, v)
 
@@ -83,7 +153,7 @@ def test_oracle_matches_enumeration_on_sparse_five_vertex_graphs():
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     for s, t in ((u, v), (v, u)):
-                        assert oracle_interval(g, s, t, kind, 8) == enumerated_interval(
+                        assert walks_within(g, s, t, kind, 8) == enumerated_interval(
                             g, s, t, kind, 8
                         ), (g.edges(), kind, s, t)
 
@@ -133,32 +203,37 @@ def test_oracle_requires_connected():
         oracle_interval(g, 0, 3, IntervalKind.WEAKLY_TOLL)
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        oracle_interval(CLAW, 0, 2, IntervalKind.WEAKLY_TOLL, 0)
+def _oracle_covering_sets(g):
+    # the least sets whose pairwise oracle intervals cover V, by plain
+    # subset enumeration over the oracle's own weakly toll intervals
+    table = {
+        (u, v): oracle_interval(g, u, v, IntervalKind.WEAKLY_TOLL).mask
+        for u in range(g.n)
+        for v in range(u, g.n)
+    }
+    full = (1 << g.n) - 1
+    for size in range(1, g.n + 1):
+        found = [
+            set(subset)
+            for subset in combinations(range(g.n), size)
+            if full == functools.reduce(
+                operator.or_, (table[pair] for pair in combinations_with_replacement(subset, 2))
+            )
+        ]
+        if found:
+            return size, found
+    raise AssertionError("V covers itself")
 
 
-# -- budget behaviour -------------------------------------------------------
-
-
-def test_budget_monotonicity():
-    for g in seeded_random_graphs(8, sizes=(6, 7), base_seed=301):
-        for kind in ORACLE_KINDS:
-            for u in range(0, g.n, 2):
-                for v in range(1, g.n, 2):
-                    small = oracle_interval(g, u, v, kind, 4)
-                    big = oracle_interval(g, u, v, kind, 9)
-                    assert small <= big
-
-
-def test_budget_stabilisation():
-    for g in seeded_random_graphs(10, sizes=(6, 7, 8), base_seed=411):
-        for kind in ORACLE_KINDS:
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    at_2n = oracle_interval(g, u, v, kind, 2 * g.n)
-                    at_2n2 = oracle_interval(g, u, v, kind, 2 * g.n + 2)
-                    assert at_2n == at_2n2
+def test_oracle_wtn_known_values():
+    # the oracle's intervals alone give the known weakly toll numbers,
+    # without the engine's table or subset search
+    assert _oracle_covering_sets(complete_graph(4))[0] == 4
+    for seed in range(6):
+        assert _oracle_covering_sets(random_tree(4 + seed, seed))[0] == 2
+    value, witnesses = _oracle_covering_sets(two_clique_bridge(3))
+    assert value == 4
+    assert {1, 2, 4, 5} in witnesses
 
 
 def _pairs(g, kind):
@@ -167,23 +242,30 @@ def _pairs(g, kind):
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
 
 
-def test_one_search_gives_the_interval_at_smaller_budgets():
+def test_budget_stabilisation():
+    # the interval is complete by walk budget 2n: every shortest witness has
+    # at most 2n edges (the margin the verification checks log)
+    for g in seeded_random_graphs(10, sizes=(6, 7, 8), base_seed=411):
+        for kind in ORACLE_KINDS:
+            for lengths in witness_lengths(g, _pairs(g, kind), kind):
+                assert max(lengths.values()) <= 2 * g.n, (g.edges(), kind)
+
+
+def test_one_call_over_all_pairs_equals_one_call_per_pair():
     zoo = [g for n in range(2, 6) for g in connected_graphs(n)]
     zoo += seeded_random_graphs(20, sizes=(7, 8), base_seed=2718)
     for g in zoo:
         for kind in ORACLE_KINDS:
             pairs = _pairs(g, kind)
-            at_2n = [oracle_interval(g, u, v, kind, 2 * g.n) for u, v in pairs]
-            for extra in (0, 2):
-                top = 2 * g.n + extra
-                searched = witness_lengths(g, pairs, kind)
-                for (u, v), lengths, expected_2n in zip(pairs, searched, at_2n):
-                    expected_top = oracle_interval(g, u, v, kind, top)
-                    for budget, expected in ((top, expected_top), (2 * g.n, expected_2n)):
-                        mask = sum(1 << x for x, edges in lengths.items() if edges <= budget)
-                        assert mask == expected.mask, (g.edges(), kind, u, v, budget)
-                    if kind is IntervalKind.TOLL and g.adjacent(u, v):
-                        assert lengths == {u: 1, v: 1}
+            if kind is IntervalKind.SEMI_WEAKLY_TOLL:
+                # consecutive pairs change source on every step
+                pairs.sort(key=lambda pair: (pair[1], pair[0]))
+            searched = list(witness_lengths(g, pairs, kind))
+            assert searched == [next(witness_lengths(g, [pair], kind)) for pair in pairs]
+            for (u, v), lengths in zip(pairs, searched):
+                assert oracle_interval(g, u, v, kind).mask == sum(1 << x for x in lengths)
+                if kind is IntervalKind.TOLL and g.adjacent(u, v):
+                    assert lengths == {u: 1, v: 1}
 
 
 def test_witness_lengths_are_minimal():
@@ -283,37 +365,25 @@ def test_swt_runs_the_hub_searches_once_per_source(monkeypatch):
             assert sources == [], (g.edges(), kind)
 
 
-def test_oracle_minima_build_the_neighbour_lists_once(monkeypatch):
-    builds = []
-    neighbour_lists = oracle._neighbour_lists
-
-    def counted(graph):
-        builds.append(1)
-        return neighbour_lists(graph)
-
-    monkeypatch.setattr(oracle, "_neighbour_lists", counted)
-    for g in seeded_random_graphs(3, sizes=(10,), base_seed=1510):
-        for search in (oracle_wtn, oracle_wth):
-            builds.clear()
-            search(g)
-            assert len(builds) == 1, (search.__name__, g.edges())
-
-
 def test_oracle_imports_no_engine_logic():
-    # the oracle reads only the kind names and the table type from
-    # ``intervals``, and none of the sweeps the engines are built from
+    # the oracle reads only the kind names from ``intervals``, none of the
+    # sweeps the engines are built from, and nothing from ``convexity``
     tree = ast.parse(Path(oracle.__file__).read_text())
     from_intervals, imported = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            assert not any("intervals" in alias.name for alias in node.names)
+            assert not any(
+                name in alias.name for alias in node.names for name in ("intervals", "convexity")
+            )
         elif isinstance(node, ast.ImportFrom):
             names = {alias.name for alias in node.names}
-            if (node.module or "").rpartition(".")[2] == "intervals":
+            module = (node.module or "").rpartition(".")[2]
+            assert module != "convexity", names
+            if module == "intervals":
                 from_intervals |= names
             imported |= names
-    assert from_intervals == {"IntervalKind", "PairIntervals"}
-    forbidden = {"intervals", "_BODIES", "component_boundaries", "neighbourhood"}
+    assert from_intervals == {"IntervalKind"}
+    forbidden = {"intervals", "convexity", "_BODIES", "component_boundaries", "neighbourhood"}
     assert not imported & forbidden
 
 
@@ -343,23 +413,3 @@ def test_witness_lengths_checks_each_endpoint_once(monkeypatch):
         checked.clear()
         witness_lengths(g, [(u, v) for u in range(g.n) for v in range(g.n)], kind)
         assert checked == list(range(g.n)), kind
-
-
-# -- exact minima -----------------------------------------------------------
-
-
-def test_oracle_wtn_known_values():
-    assert oracle_wtn(complete_graph(4))[0] == 4
-    for seed in range(6):
-        assert oracle_wtn(random_tree(4 + seed, seed))[0] == 2
-    value, witness = oracle_wtn(two_clique_bridge(3))
-    assert value == 4
-    assert sorted(witness) == [1, 2, 4, 5]
-
-
-def test_oracle_wtn_bounds_and_hull():
-    for g in seeded_random_graphs(8, sizes=(5, 6), base_seed=77):
-        value, witness = oracle_wtn(g)
-        assert 2 <= value <= g.n
-        hull_value, _ = oracle_wth(g)
-        assert hull_value <= value

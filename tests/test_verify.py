@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_random_graphs
+from conftest import seeded_random_graphs, walks_within
 from wtoll.graphs import complete_graph, cycle_graph, encode_graph6, path_graph, two_clique_bridge
 from wtoll.intervals import IntervalKind
 from wtoll import intervals, verify
-from wtoll.oracle import oracle_interval, witness_lengths
+from wtoll.oracle import witness_lengths
 from wtoll.verify import (
     CHECKS,
     SUITES,
@@ -408,7 +408,7 @@ def test_oracle_checks_log_the_witness_margin(caplog):
         for u, v in itertools.combinations(range(g.n), 2):
             first_in = {}
             for budget in range(1, 2 * g.n + TINY.budget_extra + 1):
-                for x in oracle_interval(g, u, v, IntervalKind.WEAKLY_TOLL, budget):
+                for x in walks_within(g, u, v, IntervalKind.WEAKLY_TOLL, budget):
                     first_in.setdefault(x, budget)
             longest = max(longest, Fraction(max(first_in.values()), 2 * g.n))
     assert logged["wt-interval-oracle"] == longest
