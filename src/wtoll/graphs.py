@@ -91,6 +91,16 @@ def component_masks(adj: Sequence[int], kept: int) -> list[int]:
     return [comp for comp, _ in component_boundaries(adj, kept)]
 
 
+def _is_vertex(v, n: int) -> bool:
+    # True and 1.0 equal 1 and hash alike, but only an int is a vertex
+    return type(v) is int and 0 <= v < n
+
+
+def _check_vertex(v, n: int) -> None:
+    if not _is_vertex(v, n):
+        raise ValueError(f"vertex {v} out of range 0..{n - 1}")
+
+
 class VertexSet:
     """An immutable subset of the vertices 0..n-1, backed by a bitmask."""
 
@@ -109,8 +119,7 @@ class VertexSet:
     def from_iterable(cls, n: int, vertices: Iterable[int]) -> "VertexSet":
         mask = 0
         for v in vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range 0..{n - 1}")
+            _check_vertex(v, n)
             mask |= 1 << v
         return cls(n, mask)
 
@@ -119,7 +128,7 @@ class VertexSet:
         return cls(n, (1 << n) - 1)
 
     def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and self.mask >> v & 1 == 1
+        return _is_vertex(v, self.n) and self.mask >> v & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return _bits(self.mask)
@@ -227,9 +236,6 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbour bitmasks, indexed by vertex (shared, do not mutate)."""
         return self._adj
@@ -259,9 +265,7 @@ class Graph:
         return sum(m.bit_count() for m in self._adj) // 2
 
     def _check_vertex(self, v: int) -> None:
-        # a bool is an int, but True and False are not vertices 1 and 0
-        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
+        _check_vertex(v, self.n)
 
     # -- structure -----------------------------------------------------
 

@@ -63,43 +63,36 @@ def _neighbour_lists(graph: Graph) -> list[list[int]]:
 # -- verbatim walk validity --------------------------------------------
 
 
-def _weakly_toll_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
+def _is_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
+    """Nonempty, from u to v, and each step along an edge."""
     if not walk or walk[0] != u or walk[-1] != v:
         return False
+    return all(b in nbrs[a] for a, b in zip(walk, walk[1:]))
+
+
+def _weakly_toll_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
     k = len(walk) - 1
-    if k == 0:
-        return True
-    if any(walk[i + 1] not in nbrs[walk[i]] for i in range(k)):
-        return False
-    if any(walk[i] in nbrs[u] and walk[i] != walk[1] for i in range(1, k + 1)):
-        return False
-    if any(v in nbrs[walk[i]] and walk[i] != walk[k - 1] for i in range(k)):
-        return False
-    return True
+    return (
+        _is_walk(nbrs, walk, u, v)
+        and not any(walk[i] in nbrs[u] and walk[i] != walk[1] for i in range(1, k + 1))
+        and not any(v in nbrs[walk[i]] and walk[i] != walk[k - 1] for i in range(k))
+    )
 
 
 def _semi_weakly_toll_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
-    if not walk or walk[0] != u or walk[-1] != v:
-        return False
     k = len(walk) - 1
-    if k == 0:
-        return True
-    if any(walk[i + 1] not in nbrs[walk[i]] for i in range(k)):
-        return False
-    return not any(walk[i] in nbrs[u] and walk[i] != walk[1] for i in range(1, k + 1))
+    return _is_walk(nbrs, walk, u, v) and not any(
+        walk[i] in nbrs[u] and walk[i] != walk[1] for i in range(1, k + 1)
+    )
 
 
 def _tolled_walk(nbrs: list[list[int]], walk: list[int], u: int, v: int) -> bool:
-    if not walk or walk[0] != u or walk[-1] != v:
-        return False
     k = len(walk) - 1
-    if k == 0:
-        return True
-    if any(walk[i + 1] not in nbrs[walk[i]] for i in range(k)):
-        return False
-    if any((walk[i] in nbrs[u]) != (i == 1) for i in range(1, k + 1)):
-        return False
-    return not any((walk[i] in nbrs[v]) != (i == k - 1) for i in range(k))
+    return (
+        _is_walk(nbrs, walk, u, v)
+        and not any((walk[i] in nbrs[u]) != (i == 1) for i in range(1, k + 1))
+        and not any((walk[i] in nbrs[v]) != (i == k - 1) for i in range(k))
+    )
 
 
 def is_weakly_toll_walk(graph: Graph, walk: list[int], u: int, v: int) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
-from .graphs import Graph, VertexSet
+from .graphs import Graph
 
 
 class ProductKind(str, Enum):
@@ -23,17 +23,14 @@ class ProductKind(str, Enum):
     GENERALIZED_CORONA = "generalized-corona"
 
 
-PAIR_KINDS = frozenset({ProductKind.LEXICOGRAPHIC, ProductKind.CARTESIAN, ProductKind.STRONG})
-CORONA_KINDS = frozenset({ProductKind.CORONA, ProductKind.GENERALIZED_CORONA})
-
-
 class ProductGraph:
     """A constructed product together with its coordinate labelling.
 
-    ``labels[x]`` is ``(g, h)`` for the pair products, and either
-    ``("base", i)`` or ``("copy", i, h)`` for the coronas;
-    :meth:`label_string` gives their printable form.  The coordinate
-    lookups compute positions from the numbering the module describes.
+    ``labels[x]`` names vertex x by its coordinates: ``(g, h)`` for the pair
+    products, and either ``("base", i)`` or ``("copy", i, h)`` for the
+    coronas.  :meth:`index` looks a label up and :meth:`label_string` gives
+    its printable form; layers, copies and projections are read off
+    ``labels``.
     """
 
     __slots__ = ("graph", "kind", "factors", "labels")
@@ -47,80 +44,22 @@ class ProductGraph:
     def __setattr__(self, name, value):
         raise AttributeError("ProductGraph is immutable")
 
-    # -- coordinate lookups ---------------------------------------------
-
-    def pair_index(self, g: int, h: int) -> int:
-        if self.kind not in PAIR_KINDS:
-            raise ValueError(f"{self.kind.value} product has no (g, h) coordinates")
-        self.factors[0]._check_vertex(g)
-        self.factors[1]._check_vertex(h)
-        return g * self.factors[1].n + h
-
-    def base_index(self, i: int) -> int:
-        if self.kind not in CORONA_KINDS:
-            raise ValueError(f"{self.kind.value} product has no base vertices")
-        self.factors[0]._check_vertex(i)
-        return i
-
-    def copy_index(self, i: int, h: int) -> int:
-        if self.kind not in CORONA_KINDS:
-            raise ValueError(f"{self.kind.value} product has no attached copies")
-        self._copy_factor(i)._check_vertex(h)
-        if self.kind is ProductKind.CORONA:
-            before = i * self.factors[1].n
-        else:
-            before = sum(copy.n for copy in self.factors[1 : 1 + i])
-        return self.factors[0].n + before + h
-
-    def project_first(self, x: int) -> int:
-        """Projection onto the first factor (pair products only)."""
-        if self.kind not in PAIR_KINDS:
-            raise ValueError(f"{self.kind.value} product has no pair projections")
-        return self.labels[x][0]
-
-    def project_second(self, x: int) -> int:
-        """Projection onto the second factor (pair products only)."""
-        if self.kind not in PAIR_KINDS:
-            raise ValueError(f"{self.kind.value} product has no pair projections")
-        return self.labels[x][1]
-
-    # -- layers -----------------------------------------------------------
-
-    def second_factor_layer(self, g: int) -> VertexSet:
-        """The copy of the second factor sitting above the first-factor vertex g."""
-        if self.kind not in PAIR_KINDS:
-            raise ValueError(f"{self.kind.value} product has no layers")
-        m = self.factors[1].n
-        return VertexSet.from_iterable(self.graph.n, (self.pair_index(g, h) for h in range(m)))
-
-    def first_factor_layer(self, h: int) -> VertexSet:
-        """The copy of the first factor at height h of the second factor."""
-        if self.kind not in PAIR_KINDS:
-            raise ValueError(f"{self.kind.value} product has no layers")
-        return VertexSet.from_iterable(
-            self.graph.n, (self.pair_index(g, h) for g in range(self.factors[0].n))
-        )
-
-    def copy_set(self, i: int) -> VertexSet:
-        """All vertices of the copy attached to base vertex i."""
-        if self.kind not in CORONA_KINDS:
-            raise ValueError(f"{self.kind.value} product has no attached copies")
-        return VertexSet.from_iterable(
-            self.graph.n, (self.copy_index(i, h) for h in range(self._copy_factor(i).n))
-        )
-
-    def _copy_factor(self, i: int) -> Graph:
-        """The graph attached to base vertex i, after checking i."""
-        self.factors[0]._check_vertex(i)
-        return self.factors[1] if self.kind is ProductKind.CORONA else self.factors[1 + i]
+    def index(self, *label: int | str) -> int:
+        """The vertex labelled ``label``: ``index(g, h)``, ``index("base", i)``
+        or ``index("copy", i, h)``."""
+        # True and 1.0 equal 1, but only an int is a coordinate
+        if all(type(c) in (int, str) for c in label) and label in self.labels:
+            return self.labels.index(label)
+        raise ValueError(f"{self.kind.value} product has no vertex labelled {label!r}")
 
     def label_string(self, x: int) -> str:
-        label = self.labels[x]
-        if self.kind in PAIR_KINDS:
-            return f"({label[0]},{label[1]})"
-        if label[0] == "base":
-            return f"g_{label[1]}"
-        return f"h_{label[2]}^{label[1]}"
+        match self.labels[x]:
+            case ("base", i):
+                return f"g_{i}"
+            case ("copy", i, h):
+                return f"h_{h}^{i}"
+            case (g, h):
+                return f"({g},{h})"
 
     def __repr__(self) -> str:
         return f"ProductGraph({self.kind.value}, n={self.graph.n})"

@@ -489,7 +489,7 @@ def _interval_rows(count: str, rule: str, builder: str, draw):
             g, h = _sample_factor(rng, spec), _sample_factor(rng, spec)
             coords, ends, extra, note = draw(rng, g, h, counter)
             product = build(g, h)
-            a, b = map(product.labels.index, ends)
+            a, b = (product.index(*end) for end in ends)
             observe = lambda: weakly_toll_interval(product.graph, a, b)
             yield _compare({**_factors(g, h), **extra}, predict(g, h, *coords), observe, note)
 
@@ -578,9 +578,9 @@ def _corona_base_restriction(spec, rng):
         i, j = _sample_non_adjacent_pair(rng, g)
         product = corona(g, h)
         inside = sorted(weakly_toll_interval(g, i, j))
-        a, b = product.base_index(i), product.base_index(j)
+        a, b = product.index("base", i), product.index("base", j)
         product_side = weakly_toll_interval(product.graph, a, b)
-        restricted = sorted(x for x in range(g.n) if product.base_index(x) in product_side)
+        restricted = sorted(x for x in range(g.n) if product.index("base", x) in product_side)
         yield {**_factors(g, h), "bases": [i, j]}, inside, restricted, restricted == inside
 
 

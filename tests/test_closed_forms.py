@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -45,9 +46,9 @@ def test_lex_same_layer_excludes_one_sided_clique_vertices():
     product = lexicographic(P3, BRIDGE)
     excluded = pred.vertex_set.complement()
     assert sorted(excluded) == sorted(
-        [product.pair_index(0, 2), product.pair_index(0, 5)]
+        [product.index(0, 2), product.index(0, 5)]
     )
-    engine = weakly_toll_interval(product.graph, product.pair_index(0, 1), product.pair_index(0, 4))
+    engine = weakly_toll_interval(product.graph, product.index(0, 1), product.index(0, 4))
     assert pred.vertex_set == engine
 
 
@@ -62,14 +63,14 @@ def test_lex_cross_layer_against_engine_and_oracle():
     pred = lex_interval_cross_layer(P3, P3, 0, 0, 2, 2)
     assert pred.applicable
     product = lexicographic(P3, P3)
-    u = product.pair_index(0, 0)
-    v = product.pair_index(2, 2)
+    u = product.index(0, 0)
+    v = product.index(2, 2)
     engine = weakly_toll_interval(product.graph, u, v)
     walks = oracle_interval(product.graph, u, v, IntervalKind.WEAKLY_TOLL)
     assert pred.vertex_set == engine == walks
     # the factor interval is all of P3, so only the two layer neighbourhoods drop out
     assert sorted(pred.vertex_set.complement()) == sorted(
-        [product.pair_index(0, 1), product.pair_index(2, 1)]
+        [product.index(0, 1), product.index(2, 1)]
     )
 
 
@@ -94,10 +95,10 @@ def test_corona_same_copy_against_engine():
     product = corona(P3, BRIDGE)
     excluded = pred.vertex_set.complement()
     assert sorted(excluded) == sorted(
-        [product.copy_index(1, 2), product.copy_index(1, 5)]
+        [product.index("copy", 1, 2), product.index("copy", 1, 5)]
     )
     engine = weakly_toll_interval(
-        product.graph, product.copy_index(1, 1), product.copy_index(1, 4)
+        product.graph, product.index("copy", 1, 1), product.index("copy", 1, 4)
     )
     assert pred.vertex_set == engine
 
@@ -112,11 +113,11 @@ def test_corona_cross_copies_against_engine():
     assert pred.applicable
     product = corona(P3, P3)
     engine = weakly_toll_interval(
-        product.graph, product.copy_index(0, 0), product.copy_index(1, 0)
+        product.graph, product.index("copy", 0, 0), product.index("copy", 1, 0)
     )
     assert pred.vertex_set == engine
     assert sorted(pred.vertex_set.complement()) == sorted(
-        [product.copy_index(0, 1), product.copy_index(1, 1)]
+        [product.index("copy", 0, 1), product.index("copy", 1, 1)]
     )
     assert not corona_interval_cross_copies(P3, P3, 1, 0, 1, 2).applicable
 
@@ -125,17 +126,20 @@ def test_corona_base_pair_against_engine():
     product = corona(P3, P3)
     pred = corona_interval_base_pair(P3, P3, 0, 2)
     assert pred.applicable
-    expected = {product.base_index(i) for i in range(3)} | set(product.copy_set(1))
+    copy_1 = {x for x, label in enumerate(product.labels) if label[:2] == ("copy", 1)}
+    expected = {product.index("base", i) for i in range(3)} | copy_1
     assert set(pred.vertex_set) == expected
-    engine = weakly_toll_interval(product.graph, product.base_index(0), product.base_index(2))
+    engine = weakly_toll_interval(
+        product.graph, product.index("base", 0), product.index("base", 2)
+    )
     assert pred.vertex_set == engine
     # adjacent base vertices: only the walk along the edge qualifies
     adjacent = corona_interval_base_pair(P3, P3, 0, 1)
     assert sorted(adjacent.vertex_set) == sorted(
-        [product.base_index(0), product.base_index(1)]
+        [product.index("base", 0), product.index("base", 1)]
     )
     assert adjacent.vertex_set == weakly_toll_interval(
-        product.graph, product.base_index(0), product.base_index(1)
+        product.graph, product.index("base", 0), product.index("base", 1)
     )
 
 
@@ -143,7 +147,7 @@ def test_corona_mixed_same_base_is_the_edge():
     product = corona(P3, P3)
     pred = corona_interval_mixed(P3, P3, 1, 1, 2)
     assert sorted(pred.vertex_set) == sorted(
-        [product.base_index(1), product.copy_index(1, 2)]
+        [product.index("base", 1), product.index("copy", 1, 2)]
     )
 
 
@@ -151,14 +155,14 @@ def test_corona_mixed_distinct_bases_against_engine_and_oracle():
     product = corona(P3, P3)
     pred = corona_interval_mixed(P3, P3, 0, 2, 1)
     assert pred.applicable
-    u = product.base_index(0)
-    v = product.copy_index(2, 1)
+    u = product.index("base", 0)
+    v = product.index("copy", 2, 1)
     engine = weakly_toll_interval(product.graph, u, v)
     walks = oracle_interval(product.graph, u, v, IntervalKind.WEAKLY_TOLL)
     assert pred.vertex_set == engine == walks
-    expected = {product.base_index(0), product.base_index(1), product.base_index(2)}
-    expected |= {product.copy_index(2, 1)}  # the target keeps only itself in its copy
-    expected |= set(product.copy_set(1))
+    expected = {product.index("base", i) for i in range(3)}
+    expected |= {product.index("copy", 2, 1)}  # the target keeps only itself in its copy
+    expected |= {x for x, label in enumerate(product.labels) if label[:2] == ("copy", 1)}
     assert set(pred.vertex_set) == expected
 
 
@@ -168,7 +172,7 @@ def test_corona_mixed_adjacent_bases_against_engine():
     for (i, j, k) in [(0, 1, 0), (1, 0, 2), (1, 2, 1), (2, 1, 0)]:
         pred = corona_interval_mixed(P3, P3, i, j, k)
         engine = weakly_toll_interval(
-            product.graph, product.base_index(i), product.copy_index(j, k)
+            product.graph, product.index("base", i), product.index("copy", j, k)
         )
         assert pred.vertex_set == engine, (i, j, k)
 
@@ -212,7 +216,7 @@ def _interval_cases(g, h):
     """Every coordinate tuple of the six interval rules on (g, h), each with
     the product graph and the vertex pair it names there."""
     lex, cor = lexicographic(g, h), corona(g, h)
-    pair, base, copy = lex.pair_index, cor.base_index, cor.copy_index
+    pair, base, copy = lex.index, partial(cor.index, "base"), partial(cor.index, "copy")
     G, H = range(g.n), range(h.n)
     for gv, h1, h2 in itertools.product(G, H, H):
         yield lex_interval_same_layer, (gv, h1, h2), lex, pair(gv, h1), pair(gv, h2)

@@ -63,7 +63,7 @@ def test_neighborhoods():
 
 
 def test_bools_are_not_vertices():
-    # True and False equal 1 and 0 and hash alike, but name no vertex
+    # True, False and 1.0 equal 1, 0 and 1 and hash alike, but name no vertex
     star = star_graph(3)
     calls = [
         lambda: star.adjacent(False, True),
@@ -73,10 +73,14 @@ def test_bools_are_not_vertices():
         lambda: witness_lengths(star, [(True, 1)], IntervalKind.TOLL),
         # the int 1 checked first does not let True through
         lambda: witness_lengths(star, [(1, 2), (True, 2)], IntervalKind.WEAKLY_TOLL),
+        lambda: VertexSet.from_iterable(4, [True]),
+        lambda: VertexSet.from_iterable(4, [0, 1.0]),
+        lambda: star.delete_vertices([False]),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="vertex (True|False) out of range 0..3"):
+        with pytest.raises(ValueError, match="vertex (True|False|1.0) out of range 0..3"):
             call()
+    assert True not in VertexSet(4, 2) and 1.0 not in VertexSet(4, 2) and 1 in VertexSet(4, 2)
     assert star.adjacent(0, 1) and not star.adjacent(1, 2)
     assert sorted(weakly_toll_interval(star, 1, 2)) == [0, 1, 2, 3]
     assert next(witness_lengths(star, [(1, 2)], IntervalKind.TOLL)) == {0: 2, 1: 2, 2: 2}

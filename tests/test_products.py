@@ -59,13 +59,13 @@ def test_corona_counts_and_degrees():
     assert p.graph.edge_count == 2 + 3 * (2 + 3)
     g = path_graph(3)
     for i in range(3):
-        assert p.graph.degree(p.base_index(i)) == g.degree(i) + 3
+        assert p.graph.degree(p.index("base", i)) == g.degree(i) + 3
 
 
 def test_corona_cone():
     p = corona(complete_graph(1), path_graph(4))
     assert p.graph.n == 5
-    assert p.graph.degree(p.base_index(0)) == 4
+    assert p.graph.degree(p.index("base", 0)) == 4
 
 
 def test_generalized_corona():
@@ -73,8 +73,8 @@ def test_generalized_corona():
     assert gc.kind is ProductKind.GENERALIZED_CORONA
     assert gc.graph.n == 2 + 1 + 3
     # copy vertices attach only to their own base vertex
-    assert gc.graph.adjacent(gc.base_index(1), gc.copy_index(1, 0))
-    assert not gc.graph.adjacent(gc.base_index(0), gc.copy_index(1, 0))
+    assert gc.graph.adjacent(gc.index("base", 1), gc.index("copy", 1, 0))
+    assert not gc.graph.adjacent(gc.index("base", 0), gc.index("copy", 1, 0))
     with pytest.raises(ValueError):
         generalized_corona(path_graph(2), [path_graph(3)])
 
@@ -88,29 +88,28 @@ def test_layers_induce_factors():
     g, h = path_graph(3), Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     for product in (lexicographic(g, h), cartesian(g, h), strong(g, h)):
         for gv in range(g.n):
-            layer = sorted(product.second_factor_layer(gv))
-            assert len(layer) == h.n
-            sub, kept = product.graph.delete_vertices(
-                product.second_factor_layer(gv).complement()
-            )
+            outside = [x for x, (a, _) in enumerate(product.labels) if a != gv]
+            assert product.graph.n - len(outside) == h.n
+            sub, kept = product.graph.delete_vertices(outside)
             remap = {old: new for new, old in enumerate(kept)}
             expected = {
-                tuple(sorted((remap[product.pair_index(gv, a)], remap[product.pair_index(gv, b)])))
+                tuple(sorted((remap[product.index(gv, a)], remap[product.index(gv, b)])))
                 for a, b in h.edges()
             }
             assert set(sub.edges()) == expected
     for h_v in range(h.n):
-        assert len(cartesian(g, h).first_factor_layer(h_v)) == g.n
+        assert sum(b == h_v for _, b in cartesian(g, h).labels) == g.n
 
 
 def test_corona_copy_induces_factor():
     g, h = path_graph(3), path_graph(3)
     product = corona(g, h)
     for i in range(g.n):
-        sub, kept = product.graph.delete_vertices(product.copy_set(i).complement())
+        outside = [x for x, label in enumerate(product.labels) if label[:2] != ("copy", i)]
+        sub, kept = product.graph.delete_vertices(outside)
         remap = {old: new for new, old in enumerate(kept)}
         expected = {
-            tuple(sorted((remap[product.copy_index(i, a)], remap[product.copy_index(i, b)])))
+            tuple(sorted((remap[product.index("copy", i, a)], remap[product.index("copy", i, b)])))
             for a, b in h.edges()
         }
         assert set(sub.edges()) == expected
@@ -140,26 +139,50 @@ def test_count_invariants_on_random_factors():
 def test_projections_and_order():
     p = lexicographic(path_graph(3), path_graph(2))
     # row-major over (g, h)
-    assert p.pair_index(1, 0) == 2
-    assert p.project_first(3) == 1 and p.project_second(3) == 1
-    with pytest.raises(ValueError):
-        corona(path_graph(2), path_graph(2)).pair_index(0, 0)
-    with pytest.raises(ValueError):
-        p.base_index(0)
-    # out-of-range coordinates are refused per factor, not looked up
+    assert p.index(1, 0) == 2
+    assert p.labels[3] == (1, 1)
     gc = generalized_corona(path_graph(2), [path_graph(2), path_graph(3)])
-    assert gc.copy_index(1, 2) == 6
-    for lookup in (
-        lambda: p.pair_index(0, 9),
-        lambda: p.pair_index(3, 0),
-        lambda: p.pair_index(-1, 1),
-        lambda: p.pair_index(1.5, 0),
-        lambda: gc.base_index(2),
-        lambda: gc.copy_index(2, 0),
-        lambda: gc.copy_index(0, 2),
+    assert gc.index("copy", 1, 2) == 6
+    # a label the product does not have is refused, whatever its shape: out
+    # of range in either factor, not an int, or of another product kind
+    cor = corona(path_graph(2), path_graph(2))
+    for product, label in (
+        (p, (0, 9)),
+        (p, (3, 0)),
+        (p, (-1, 1)),
+        (p, (1.5, 0)),
+        (p, (1.0, 0)),
+        (p, (True, 0)),
+        (p, (0, True)),
+        (p, ("base", 0)),
+        (cor, (0, 0)),
+        (cor, ("base", True)),
+        (cor, ("copy", 1, 1.0)),
+        (gc, ("base", 2)),
+        (gc, ("copy", 2, 0)),
+        (gc, ("copy", 0, 2)),
     ):
-        with pytest.raises(ValueError, match="out of range"):
-            lookup()
+        with pytest.raises(ValueError, match="product has no vertex labelled"):
+            product.index(*label)
+
+
+def test_index_inverts_labels():
+    factors = [g for n in (1, 2, 3) for g in connected_graphs(n)]
+    kinds = set()
+    for g in factors:
+        for h in factors:
+            copies = [(h, g)[i % 2] for i in range(g.n)]
+            for product in (
+                lexicographic(g, h),
+                cartesian(g, h),
+                strong(g, h),
+                corona(g, h),
+                generalized_corona(g, copies),
+            ):
+                kinds.add(product.kind)
+                for x, label in enumerate(product.labels):
+                    assert product.index(*label) == x
+    assert kinds == set(ProductKind)
 
 
 def test_dot_export_labels():
