@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .convexity import hull as hull_of
-from .convexity import wth, wtn
+from .convexity import interval_report, wth, wtn
 from .graphs import (
     Graph,
     VertexSet,
@@ -36,7 +36,7 @@ from .graphs import (
     star_graph,
     two_clique_bridge,
 )
-from .intervals import IntervalKind, interval
+from .intervals import IntervalKind
 from .products import ProductGraph, ProductKind, build, to_dot
 from .verify import CorpusSpec, run_suite, summarize, write_csv, write_jsonl
 
@@ -141,17 +141,11 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_interval(args) -> int:
     item = _resolve_input(args)
     graph = _the_graph(item)
-    kind = KIND_ALIASES[args.kind]
-    result = interval(graph, args.u, args.v, kind)
-    _print_vertex_set(result, item)
+    report = interval_report(graph, args.u, args.v, KIND_ALIASES[args.kind])
+    _print_vertex_set(report.interval, item)
     if args.report:
-        outside = result.complement()
-        for name, part in (
-            ("outside", outside),
-            ("missed_near_u", graph.closed_neighborhood(args.u) & outside),
-            ("missed_near_v", graph.closed_neighborhood(args.v) & outside),
-        ):
-            print(f"{name}: {' '.join(str(v) for v in sorted(part)) or '-'}")
+        for name in ("outside", "missed_near_u", "missed_near_v"):
+            print(f"{name}: {' '.join(str(v) for v in sorted(getattr(report, name))) or '-'}")
     return 0
 
 

@@ -8,7 +8,7 @@ three stages:
 1. Sets of two vertices, straight from the table, stopping at the first
    success: ``wtn`` = 2 stops at the first pair whose interval is V, and
    ``wth`` at the first pair whose hull is.  By the end of this stage every
-   pair has been read, so the later stages index a plain dict.
+   pair is in the table, so the later stages read it without computing.
 2. The forced set F: a vertex in no interval between two other vertices is
    extreme, V minus it is convex, so it lies in every interval set and
    every hull set.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import Graph, VertexSet, require_non_complete, require_non_trivial, require_subset
-from .intervals import IntervalKind, PairIntervals, closure_mask, pair_intervals, weakly_toll_interval
+from .intervals import IntervalKind, PairIntervals, closure_mask, interval, pair_intervals
 
 #: The most sets one size k of an exact search may try: a few seconds of
 #: covering checks.  The largest count in the tests and the benchmark
@@ -59,28 +59,21 @@ class IntervalReport:
     outside: VertexSet
     missed_near_u: VertexSet
     missed_near_v: VertexSet
-    is_maximum: bool
 
 
 def is_convex(graph: Graph, subset: VertexSet, kind: IntervalKind) -> bool:
     """Whether every pairwise interval of the subset stays inside it."""
     require_subset(graph, subset)
     table = pair_intervals(graph, kind, "convexity test")
-    members = list(subset)
-    outside = ~subset.mask
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if table[u, v] & outside:
-                return False
-    return True
+    return closure_mask(table, subset.mask, (1 << graph.n) - 1) == subset.mask
 
 
-def _hull_mask(pair, seed: int, full: int) -> int:
-    """Closure fixpoint of the ``seed`` bitmask over a pair table or a
-    filled dict of every pair, stopping as soon as it is ``full``."""
+def _hull_mask(table: PairIntervals, seed: int, full: int) -> int:
+    """Closure fixpoint of the ``seed`` bitmask, stopping as soon as it is
+    ``full``."""
     current = seed
     while current != full:
-        grown = closure_mask(pair, current, full)
+        grown = closure_mask(table, current, full)
         if grown == current:
             break
         current = grown
@@ -96,17 +89,17 @@ def hull(graph: Graph, subset: VertexSet, kind: IntervalKind = IntervalKind.WEAK
     return VertexSet(graph.n, _hull_mask(pair_intervals(graph, kind), subset.mask, full))
 
 
-def _forced_mask(n: int, pair: dict[tuple[int, int], int]) -> int:
+def _forced_mask(table: PairIntervals) -> int:
     """Vertices in no interval between two other vertices, from a filled
-    dict of every pair."""
+    table."""
     inner = 0
-    for (u, v), mask in pair.items():
+    for (u, v), mask in table.items():
         inner |= mask & ~(1 << u | 1 << v)
-    return (1 << n) - 1 & ~inner
+    return (1 << table.n) - 1 & ~inner
 
 
-def _least_set(table: PairIntervals, spans: Callable[[object, int], bool]) -> tuple[int, VertexSet]:
-    """Least k with a k-set S for which ``spans(pair, S)`` holds, and the
+def _least_set(table: PairIntervals, spans: Callable[[int], bool]) -> tuple[int, VertexSet]:
+    """Least k with a k-set S for which ``spans(S)`` holds, and the
     lexicographically least such S, in the three stages of the module
     docstring; ``spans`` must fail on every set that leaves out a forced
     vertex.  The table has n >= 2 vertices, so no single vertex spans: the
@@ -114,10 +107,9 @@ def _least_set(table: PairIntervals, spans: Callable[[object, int], bool]) -> tu
     n = table.n
     for u in range(n):
         for v in range(u + 1, n):
-            if spans(table, 1 << u | 1 << v):
+            if spans(1 << u | 1 << v):
                 return 2, VertexSet(n, 1 << u | 1 << v)
-    pair = table.filled()
-    forced = _forced_mask(n, pair)
+    forced = _forced_mask(table.filled())
     free = [x for x in range(n) if not forced >> x & 1]
     fixed = n - len(free)
     for k in range(max(3, fixed), n + 1):
@@ -131,7 +123,7 @@ def _least_set(table: PairIntervals, spans: Callable[[object, int], bool]) -> tu
             seed = forced
             for x in combo:
                 seed |= 1 << x
-            if spans(pair, seed):
+            if spans(seed):
                 return k, VertexSet(n, seed)
     raise AssertionError("the full vertex set always spans itself")
 
@@ -142,7 +134,7 @@ def wtn(graph: Graph) -> tuple[int, VertexSet]:
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
     full = (1 << graph.n) - 1
-    return _least_set(table, lambda pair, seed: closure_mask(pair, seed, full) == full)
+    return _least_set(table, lambda seed: closure_mask(table, seed, full) == full)
 
 
 def wth(graph: Graph) -> tuple[int, VertexSet]:
@@ -151,10 +143,10 @@ def wth(graph: Graph) -> tuple[int, VertexSet]:
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
     full = (1 << graph.n) - 1
-    return _least_set(table, lambda pair, seed: _hull_mask(pair, seed, full) == full)
+    return _least_set(table, lambda seed: _hull_mask(table, seed, full) == full)
 
 
-def _report(graph: Graph, u: int, v: int, inside: VertexSet, is_maximum: bool) -> IntervalReport:
+def _report(graph: Graph, u: int, v: int, inside: VertexSet) -> IntervalReport:
     outside = inside.complement()
     return IntervalReport(
         u=u,
@@ -163,12 +155,14 @@ def _report(graph: Graph, u: int, v: int, inside: VertexSet, is_maximum: bool) -
         outside=outside,
         missed_near_u=graph.closed_neighborhood(u) & outside,
         missed_near_v=graph.closed_neighborhood(v) & outside,
-        is_maximum=is_maximum,
     )
 
 
-def interval_report(graph: Graph, u: int, v: int, is_maximum: bool = False) -> IntervalReport:
-    return _report(graph, u, v, weakly_toll_interval(graph, u, v), is_maximum)
+def interval_report(
+    graph: Graph, u: int, v: int, kind: IntervalKind = IntervalKind.WEAKLY_TOLL
+) -> IntervalReport:
+    """The ``kind`` interval from u to v and what it misses."""
+    return _report(graph, u, v, interval(graph, u, v, kind))
 
 
 def maximum_interval_pairs(graph: Graph) -> list[tuple[int, int, IntervalReport]]:
@@ -180,13 +174,12 @@ def maximum_interval_pairs(graph: Graph) -> list[tuple[int, int, IntervalReport]
     """
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "maximum interval search")
     require_non_complete(graph, "maximum interval search")
-    masks = table.filled()
-    best = max(mask.bit_count() for mask in masks.values())
+    best = max(mask.bit_count() for mask in table.filled().values())
     out = []
-    for (u, v), mask in sorted(masks.items()):
+    for (u, v), mask in sorted(table.items()):
         if mask.bit_count() == best:
             assert not graph.adjacent(u, v), "maximum interval at an adjacent pair"
-            out.append((u, v, _report(graph, u, v, VertexSet(graph.n, mask), True)))
+            out.append((u, v, _report(graph, u, v, VertexSet(graph.n, mask))))
     return out
 
 

@@ -226,8 +226,8 @@ class Graph:
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+            _check_vertex(u, n)
+            _check_vertex(v, n)
             if u == v:
                 raise ValueError(f"self-loop ({u}, {u}) not allowed")
             adj[u] |= 1 << v

@@ -21,9 +21,10 @@ suite keeps both in exact agreement over an exhaustive small-graph corpus.
 
 Each public call checks its graph, whose connectivity is swept once and kept.
 ``interval``, which the five named engines call, checks one query;
-``pair_intervals`` checks a graph for a lazily filled table of all its pairs,
-which closures, hulls, convexity tests and the subset searches read, and the
-graph keeps it, one table per kind.  The engine bodies themselves never check.
+``pair_intervals`` checks a graph for its table of all pairs, a dict that
+computes each pair on its first read; closures, hulls, convexity tests and
+the subset searches index it, and the graph keeps it, one table per kind.
+The engine bodies themselves never check.
 """
 
 from __future__ import annotations
@@ -226,42 +227,38 @@ def interval(graph: Graph, u: int, v: int, kind: IntervalKind) -> VertexSet:
 # -- the pair-interval table -----------------------------------------------
 
 
-class PairIntervals:
-    """Pair-interval table of one graph and kind.
-
-    ``table[u, v]`` with u < v is the mask of the union of the intervals
-    from u to v and from v to u, computed from ``ordered(u, v)`` on first
-    read; a symmetric kind needs only the first.  Closures, hulls,
+class PairIntervals(dict):
+    """Pair-interval table of one graph and kind: a dict from each pair
+    (u, v) with u < v to the mask of the union of the intervals from u to v
+    and from v to u.  A missing pair is computed from ``ordered(u, v)`` on
+    its first read and stored, so every later read is an ordinary dict
+    lookup; a symmetric kind needs only the first order.  Closures, hulls,
     convexity tests and the subset searches read nothing else, and compute
     only the pairs they read.
     """
 
-    __slots__ = ("n", "_symmetric", "_ordered", "_masks")
+    __slots__ = ("n", "_symmetric", "_ordered")
 
     def __init__(self, n: int, kind: IntervalKind, ordered: Callable[[int, int], int]):
+        super().__init__()
         self.n = n
         self._symmetric = IntervalKind(kind) in SYMMETRIC_KINDS
         self._ordered = ordered
-        self._masks: dict[tuple[int, int], int] = {}
 
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        mask = self._masks.get(pair)
-        if mask is None:
-            u, v = pair
-            mask = self._ordered(u, v)
-            if not self._symmetric:
-                mask |= self._ordered(v, u)
-            self._masks[pair] = mask
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        u, v = pair
+        mask = self._ordered(u, v)
+        if not self._symmetric:
+            mask |= self._ordered(v, u)
+        self[pair] = mask
         return mask
 
-    def filled(self) -> dict[tuple[int, int], int]:
-        """Every pair computed, as a plain dict keyed like the table: the
-        subset searches index it in their inner loops once every pair is
-        known, where a method call per read costs too much."""
+    def filled(self) -> PairIntervals:
+        """The table itself, with every pair computed."""
         for u in range(self.n):
             for v in range(u + 1, self.n):
                 self[u, v]
-        return self._masks
+        return self
 
 
 def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) -> PairIntervals:
@@ -280,16 +277,15 @@ def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) ->
     return table
 
 
-def closure_mask(pair, mask: int, full: int) -> int:
-    """One closure step: ``mask`` plus ``pair[u, v]`` for every two of its
-    members, from a :class:`PairIntervals` (computing the pairs it lacks)
-    or a filled dict of every pair.  Once the result reaches ``full``, the
-    mask of every vertex, the remaining pairs are not read."""
+def closure_mask(table: PairIntervals, mask: int, full: int) -> int:
+    """One closure step: ``mask`` plus ``table[u, v]`` for every two of its
+    members, computing the pairs the table lacks.  Once the result reaches
+    ``full``, the mask of every vertex, the remaining pairs are not read."""
     members = list(_bits(mask))
     grown = mask
     for i, u in enumerate(members):
         for v in members[i + 1 :]:
-            grown |= pair[u, v]
+            grown |= table[u, v]
         if grown == full:
             break
     return grown

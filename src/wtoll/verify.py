@@ -383,11 +383,12 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
     at 2n, which must agree with it (the claim's "stabilised").  The longest
     minimal witness, relative to 2n, is logged at the end."""
 
+    ordered = kind not in intervals.SYMMETRIC_KINDS
+
     def rows(spec, rng):
         claim = "engine equals stabilised oracle on every pair"
         longest, at_n = 0, 1
         for descriptor, g in interval_corpus(spec):
-            ordered = kind is IntervalKind.SEMI_WEAKLY_TOLL
             pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u < v or ordered and u != v]
             n, adj, body = g.n, g.adjacency_masks(), intervals._BODIES[kind]
             budget, limit = 2 * n + spec.budget_extra, 2 * n

@@ -56,6 +56,20 @@ def test_claw_convexity_split():
         hull(path_graph(6), foreign, IntervalKind.WEAKLY_TOLL)
 
 
+def test_is_convex_is_its_definition():
+    # S is convex when every interval between two members, either order, lies in S
+    verdicts = set()
+    for g in (g for n in range(1, 6) for g in connected_graphs(n)):
+        for kind in IntervalKind:
+            spans = {(u, v): interval(g, u, v, kind) for u in range(g.n) for v in range(g.n)}
+            for bits in range(1 << g.n):
+                s = VertexSet(g.n, bits)
+                literal = all(spans[u, v] <= s for u in s for v in s)
+                assert is_convex(g, s, kind) == literal, (g.edges(), kind, sorted(s))
+                verdicts.add((kind, literal))
+    assert len(verdicts) == 2 * len(IntervalKind)
+
+
 def test_hull_examples():
     c5 = cycle_graph(5)
     convex = VertexSet.from_iterable(5, [0, 1])

@@ -76,6 +76,8 @@ def test_bools_are_not_vertices():
         lambda: VertexSet.from_iterable(4, [True]),
         lambda: VertexSet.from_iterable(4, [0, 1.0]),
         lambda: star.delete_vertices([False]),
+        lambda: Graph.from_edge_list(4, [(0, True)]),
+        lambda: Graph.from_edge_list(4, [(0, 1.0)]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="vertex (True|False|1.0) out of range 0..3"):

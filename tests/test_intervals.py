@@ -324,6 +324,18 @@ def test_graph_keeps_its_tables():
     assert twin == first and intervals.pair_intervals(twin, IntervalKind.WEAKLY_TOLL) is not table
 
 
+def test_pair_table_is_the_dict_its_readers_index():
+    g = two_clique_bridge(3)
+    for kind in IntervalKind:
+        table = intervals.pair_intervals(g, kind)
+        # every read is the C dict lookup; only a missing pair runs Python code
+        assert isinstance(table, dict) and type(table).__getitem__ is dict.__getitem__
+        assert not table
+        assert table[1, 4] == (interval(g, 1, 4, kind) | interval(g, 4, 1, kind)).mask
+        assert list(table) == [(1, 4)]
+        assert table.filled() is table and len(table) == g.n * (g.n - 1) // 2
+
+
 def test_disconnected_graph_raises_on_every_call(monkeypatch):
     g = Graph.from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
     sweeps = _count_sweeps(monkeypatch)
