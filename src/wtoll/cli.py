@@ -159,10 +159,22 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
+def _vertex_ids(text: str) -> list[int]:
+    """The vertex ids of a ``--set`` value such as ``1,4``."""
+    ids = []
+    for tok in text.split(","):
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad vertex id {tok!r} in --set {text!r}: "
+                             "--set takes comma-separated vertex ids") from None
+    return ids
+
+
 def _cmd_hull(args) -> int:
     item = _resolve_input(args)
     graph = _the_graph(item)
-    seed = VertexSet.from_iterable(graph.n, (int(tok) for tok in args.set.split(",")))
+    seed = VertexSet.from_iterable(graph.n, _vertex_ids(args.set))
     result = hull_of(graph, seed, KIND_ALIASES[args.kind])
     _print_vertex_set(result, item)
     return 0

@@ -15,7 +15,8 @@ must avoid N[u] and N[v] entirely, so the reachable interior is a union of
 connected components of G - (N[u] | N[v]).  Each component comes with its
 boundary, the removed vertices adjacent to it, and every hub and component
 is then decided by intersecting masks: one component sweep plus
-O(#components + deg u + deg v) mask operations per vertex pair.  Module
+O(#components + deg u + deg v) mask operations per vertex pair.  A sweep is
+one adjacency OR per kept vertex, through ``graphs.neighbourhood``.  Module
 ``oracle`` recomputes the same sets by direct walk enumeration, and the test
 suite keeps both in exact agreement over an exhaustive small-graph corpus.
 

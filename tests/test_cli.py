@@ -86,6 +86,14 @@ def test_hull_command(capsys):
     assert code == 0 and out.strip() == "0 1 3 4 6"
 
 
+def test_hull_names_a_bad_set_token(capsys):
+    for value, token in (("", "''"), ("0,,1", "''"), ("0,x", "'x'"), ("1.5", "'1.5'")):
+        code, _, err = run_cli(capsys, "hull", "--graph", "path:3", "--set", value)
+        assert code == 1
+        assert f"bad vertex id {token} in --set {value!r}" in err, err
+        assert "comma-separated vertex ids" in err and "invalid literal" not in err
+
+
 def test_product_command(capsys, tmp_path):
     out_file = tmp_path / "lex.g6"
     code, _, _ = run_cli(capsys, "product", "--kind", "lex", "--g", "path:3",

@@ -12,12 +12,14 @@ from wtoll.graphs import (
     Graph,
     Graph6FormatError,
     VertexSet,
+    _bits,
     complete_graph,
     component_boundaries,
     component_masks,
     cycle_graph,
     encode_edge_list,
     encode_graph6,
+    neighbourhood,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -185,6 +187,23 @@ def test_component_boundaries():
     assert component_masks(adj, kept) == [0b11, 0b11000, 0b1000000]
     assert component_boundaries(adj, 0) == []
     assert component_boundaries(adj, 0b1111111) == [(0b1111111, 0)]
+
+
+def test_neighbourhood_is_the_or_of_its_members_rows():
+    # both walks, on either side of the gate at 16 bits and 4 members, on
+    # masks whose top member sits on each side of a byte edge
+    rng = random.Random(2000)
+    for width in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200, 401):
+        rows = [rng.getrandbits(width + 3) for _ in range(width)]
+        for count in sorted({min(c, width) for c in (0, 1, 4, 5, 6, width // 2, width)}):
+            # the top vertex is a member, so the mask is exactly `width` bits wide
+            members = [width - 1] + rng.sample(range(width - 1), count - 1) if count else []
+            mask = sum(1 << x for x in members)
+            expected = 0
+            for x in _bits(mask):
+                expected |= rows[x]
+            for adj in (tuple(rows), rows):
+                assert neighbourhood(adj, mask) == expected, (width, count, type(adj))
 
 
 def test_delete_vertices():

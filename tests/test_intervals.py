@@ -10,7 +10,6 @@ from wtoll.graphs import (
     Graph,
     VertexSet,
     _bits,
-    component_masks,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -68,7 +67,27 @@ def test_engine_matches_oracle_on_random_graphs():
 # The engines decide each hub once, from component boundaries.  The bodies
 # below reach the same masks by a slower, more literal route: they try every
 # pair of exclusive hubs against per-hub touch tables, and take geodesic
-# intervals as the vertices x with d(u, x) + d(x, v) = d(u, v).
+# intervals as the vertices x with d(u, x) + d(x, v) = d(u, v).  They grow
+# components and distance layers one vertex at a time over ``_bits``, so no
+# mask kernel of ``graphs`` is on both sides of the comparison.
+
+
+def _components(adj, kept: int) -> list[int]:
+    """Component masks of the subgraph induced on ``kept``, ordered by
+    smallest member, each grown layer by layer from its lowest vertex."""
+    comps = []
+    todo = kept
+    while todo:
+        comp = frontier = todo & -todo
+        while frontier:
+            grown = 0
+            for w in _bits(frontier):
+                grown |= adj[w]
+            frontier = grown & kept & ~comp
+            comp |= frontier
+        comps.append(comp)
+        todo &= ~comp
+    return comps
 
 
 def _touch_tables(adj, comps, candidates: int):
@@ -96,7 +115,7 @@ def _hub_split(adj: tuple[int, ...], n: int, u: int, v: int):
     tables of the hubs N(u) | N(v), and the exclusive hubs (adjacent to u
     only, and to v only)."""
     nu, nv = adj[u], adj[v]
-    comps = component_masks(adj, (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v))
+    comps = _components(adj, (1 << n) - 1 & ~(nu | nv | 1 << u | 1 << v))
     touch_idx, touch_mask = _touch_tables(adj, comps, nu | nv)
     return comps, touch_idx, touch_mask, nu & ~nv, nv & ~nu
 
@@ -116,7 +135,7 @@ def _pairwise_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
 
 
 def _pairwise_semi_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
-    comps = component_masks(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
+    comps = _components(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
     touch_idx, touch_mask = _touch_tables(adj, comps, adj[u])
     if adj[u] >> v & 1:
         return 1 << u | 1 << v | touch_mask[v]
@@ -209,6 +228,11 @@ def test_engines_match_pairwise_reference_on_random_graphs():
             if k > 24:
                 pairs = rng.sample(pairs, 400)
             _engines_match_reference(g, pairs)
+    # sparse graphs wide enough that the engines' masks take the byte walk
+    for k, p, seed in ((100, 0.05, 1830), (200, 0.025, 1831)):
+        g = random_connected_graph(k, p, seed)
+        pairs = [(u, v) for u in range(k) for v in range(k) if u != v]
+        _engines_match_reference(g, rng.sample(pairs, 200))
 
 
 # -- worked examples ---------------------------------------------------------
