@@ -20,12 +20,29 @@ one adjacency OR per kept vertex, through ``graphs.neighbourhood``.  Module
 ``oracle`` recomputes the same sets by direct walk enumeration, and the test
 suite keeps both in exact agreement over an exhaustive small-graph corpus.
 
+The semi weakly toll sweep, of G - N[u], depends on the source alone, so
+one sweep gives the row I_swt(u, v) of every target v.  The weakly toll
+interval of non-adjacent u, v is the intersection of the two semi weakly
+toll ones, I_wt(u, v) = I_swt(u, v) & I_swt(v, u).  With A = N(u) - N(v),
+B = N(v) - N(u) and X = V - N[u] - N[v]: in G - N[u] the component of v is
+{v}, B and the X-components that border B, and its boundary is the common
+neighbours plus the A-hubs adjacent to B or to such a component, that is,
+the common neighbours and the A-hubs that qualify.  So I_swt(u, v) is u, v, those hubs,
+B, and the X-components that border B or one of those hubs; the same holds
+with u and v swapped.  The intersection keeps the common neighbours, the
+qualifying hubs of each side and the X-components that border one of these
+(a component that borders both A and B makes its boundary hubs qualify),
+which is the weakly toll interval.  An adjacent pair's weakly toll interval
+is just {u, v}.
+
 Each public call checks its graph, whose connectivity is swept once and kept.
-``interval``, which the five named engines call, checks one query;
-``pair_intervals`` checks a graph for its table of all pairs, a dict that
-computes each pair on its first read; closures, hulls, convexity tests and
-the subset searches index it, and the graph keeps it, one table per kind.
-The engine bodies themselves never check.
+``interval``, which the five named engines call, checks one query and runs
+the pair body; ``pair_intervals`` checks a graph for its table of all pairs,
+a dict that computes each pair on its first read; closures, hulls,
+convexity tests and the subset searches index it, and the graph keeps it,
+one table per kind.  The weakly toll and semi weakly toll tables read their
+pairs off semi weakly toll rows, so filling one costs a sweep per source and
+a mask operation per pair.  The engine bodies themselves never check.
 """
 
 from __future__ import annotations
@@ -57,6 +74,9 @@ class IntervalKind(str, Enum):
 SYMMETRIC_KINDS = frozenset(
     {IntervalKind.WEAKLY_TOLL, IntervalKind.TOLL, IntervalKind.MONOPHONIC, IntervalKind.GEODESIC}
 )
+
+#: Kinds whose pair table reads semi weakly toll rows, not pair bodies.
+ROW_KINDS = frozenset({IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL})
 
 
 # Each public engine below hands its query to ``interval``, which checks it
@@ -140,6 +160,35 @@ def _semi_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
         if touch & hubs:
             result |= comp
     return result
+
+
+def _semi_weakly_toll_row(adj: tuple[int, ...], n: int, u: int) -> list[int]:
+    """I_swt(u, v) for every target v, indexed by v, from one sweep of
+    G - N[u]: a neighbour v of u gets {u, v} and every component whose
+    boundary holds v, and every v of a component with boundary T gets the
+    union of those entries over T."""
+    comps = component_boundaries(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
+    row = [0] * n
+    row[u] = 1 << u
+    for v in _bits(adj[u]):
+        row[v] = 1 << u | 1 << v
+    # the bit loops are inlined: this is the table's inner loop
+    for comp, touch in comps:
+        while touch:
+            low = touch & -touch
+            row[low.bit_length() - 1] |= comp
+            touch ^= low
+    for comp, touch in comps:
+        reach = 0
+        while touch:
+            low = touch & -touch
+            reach |= row[low.bit_length() - 1]
+            touch ^= low
+        while comp:
+            low = comp & -comp
+            row[low.bit_length() - 1] = reach
+            comp ^= low
+    return row
 
 
 def toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
@@ -231,26 +280,26 @@ def interval(graph: Graph, u: int, v: int, kind: IntervalKind) -> VertexSet:
 class PairIntervals(dict):
     """Pair-interval table of one graph and kind: a dict from each pair
     (u, v) with u < v to the mask of the union of the intervals from u to v
-    and from v to u.  A missing pair is computed from ``ordered(u, v)`` on
-    its first read and stored, so every later read is an ordinary dict
-    lookup; a symmetric kind needs only the first order.  Closures, hulls,
-    convexity tests and the subset searches read nothing else, and compute
-    only the pairs they read.
+    and from v to u.  A missing pair is computed from ``ordered(u, v)``, the
+    interval from u to v, on its first read and stored, so every later read
+    is an ordinary dict lookup; a symmetric kind needs only the first order.
+    Closures, hulls, convexity tests and the subset searches read nothing
+    else, and compute only the pairs they read.
     """
 
-    __slots__ = ("n", "_symmetric", "_ordered")
+    __slots__ = ("n", "_symmetric", "ordered")
 
     def __init__(self, n: int, kind: IntervalKind, ordered: Callable[[int, int], int]):
         super().__init__()
         self.n = n
         self._symmetric = IntervalKind(kind) in SYMMETRIC_KINDS
-        self._ordered = ordered
+        self.ordered = ordered
 
     def __missing__(self, pair: tuple[int, int]) -> int:
         u, v = pair
-        mask = self._ordered(u, v)
+        mask = self.ordered(u, v)
         if not self._symmetric:
-            mask |= self._ordered(v, u)
+            mask |= self.ordered(v, u)
         self[pair] = mask
         return mask
 
@@ -262,18 +311,50 @@ class PairIntervals(dict):
         return self
 
 
+def _from_rows(adj: tuple[int, ...], n: int, kind: IntervalKind) -> Callable[[int, int], int]:
+    """The ordered interval from u to v that the table of a kind in
+    ``ROW_KINDS`` reads off semi weakly toll rows, each row swept on its
+    first read and kept."""
+    sweep, rows = _semi_weakly_toll_row, [None] * n
+
+    def row(u: int) -> list[int]:
+        # read as ``rows[u] or row(u)``; racing threads may both sweep u,
+        # and their rows are equal
+        rows[u] = found = sweep(adj, n, u)
+        return found
+
+    if kind is IntervalKind.SEMI_WEAKLY_TOLL:
+        return lambda u, v: (rows[u] or row(u))[v]
+
+    def weakly_toll(u: int, v: int) -> int:
+        if adj[u] >> v & 1:
+            return 1 << u | 1 << v
+        return (rows[u] or row(u))[v] & (rows[v] or row(v))[u]
+
+    return weakly_toll
+
+
 def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) -> PairIntervals:
     """The pair-interval table of a connected graph, checked once for all its
     pairs; ``what`` names the operation in the error and defaults to the
     interval kind.  The graph keeps its table of each kind, so later calls
     reuse the pairs computed so far and skip the check.  A disconnected
-    graph raises on every call and never gets a table."""
+    graph raises on every call and never gets a table.
+
+    The semi weakly toll table reads a pair as row(u)[v] | row(v)[u], and
+    the weakly toll table as {u, v} for an adjacent pair and
+    row(u)[v] & row(v)[u] otherwise (see the module docstring), where
+    row(u) is ``_semi_weakly_toll_row`` of u, swept on the table's first
+    need of it and kept.  A filled table of either kind costs one sweep per
+    source and one mask operation per pair, where the bodies cost a sweep
+    per pair.  The other kinds run their pair bodies."""
     kind = IntervalKind(kind)
     table = graph._derived.get(kind)
     if table is None:
         require_connected(graph, what or f"{kind.value.replace('-', ' ')} interval")
         adj, n, body = graph.adjacency_masks(), graph.n, _BODIES[kind]
-        table = PairIntervals(n, kind, lambda u, v: body(adj, n, u, v))
+        ordered = _from_rows(adj, n, kind) if kind in ROW_KINDS else lambda u, v: body(adj, n, u, v)
+        table = PairIntervals(n, kind, ordered)
         table = graph._derived.setdefault(kind, table)  # racing threads share the first
     return table
 

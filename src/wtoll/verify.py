@@ -378,10 +378,14 @@ def _factors(g: Graph, h: Graph) -> dict:
 def _oracle_rows(check_id: str, kind: IntervalKind):
     """Engine against the exact oracle, each graph checked once for all its
     pairs.  The engine is read through its unchecked body, looked up when
-    the check runs.  One pass over each pair's witness lengths gives the
-    oracle interval at 2n + budget_extra, which the engine must equal, and
-    at 2n, which must agree with it (the claim's "stabilised").  The longest
-    minimal witness, relative to 2n, is logged at the end."""
+    the check runs, and for a kind whose pair table reads semi weakly toll
+    rows also through the graph's own table, whose rows the later checks
+    on that graph then reuse; the failure payload gives the body's value,
+    or the table's when only it disagrees.  One pass over each pair's
+    witness lengths gives the oracle interval at 2n + budget_extra, which
+    the engine must equal, and at 2n, which must agree with it (the
+    claim's "stabilised").  The longest minimal witness, relative to 2n,
+    is logged at the end."""
 
     ordered = kind not in intervals.SYMMETRIC_KINDS
 
@@ -391,6 +395,7 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
         for descriptor, g in interval_corpus(spec):
             pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u < v or ordered and u != v]
             n, adj, body = g.n, g.adjacency_masks(), intervals._BODIES[kind]
+            table = pair_intervals(g, kind) if kind in intervals.ROW_KINDS else None
             budget, limit = 2 * n + spec.budget_extra, 2 * n
             failure = None
             for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind)):
@@ -405,6 +410,8 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
                 if edges * at_n > longest * n:
                     longest, at_n = edges, n
                 engine = body(adj, n, u, v)
+                if table is not None and engine == oracle:
+                    engine = table.ordered(u, v)
                 if engine != oracle or at_2n != oracle:
                     failure = {"pair": [u, v], "engine": list(_bits(engine)),
                                "oracle": list(_bits(oracle)), "oracle_at_2n": list(_bits(at_2n))}

@@ -325,17 +325,17 @@ def test_wtn_and_wth_equal_brute_force():
 
 
 def _count_pairs(monkeypatch) -> list[tuple[int, int]]:
-    """Record every weakly toll pair an engine body computes for a table
-    built from now on; each test's graphs are fresh objects, so no table of
-    theirs exists yet."""
-    body = intervals._BODIES[IntervalKind.WEAKLY_TOLL]
+    """Record every pair a pair table computes from now on, its first read
+    (``__missing__``), whether from an engine body or from rows; each
+    test's graphs are fresh objects, so no table of theirs exists yet."""
+    missing = intervals.PairIntervals.__missing__
     calls = []
 
-    def counted(adj, n, u, v):
-        calls.append((u, v))
-        return body(adj, n, u, v)
+    def counted(table, pair):
+        calls.append(pair)
+        return missing(table, pair)
 
-    monkeypatch.setitem(intervals._BODIES, IntervalKind.WEAKLY_TOLL, counted)
+    monkeypatch.setattr(intervals.PairIntervals, "__missing__", counted)
     return calls
 
 
@@ -392,6 +392,12 @@ def test_table_cache_shared_across_threads():
                 g = graphs[i % len(graphs)]
                 assert (wtn(g), wth(g)) == expected[i % len(graphs)], g.edges()
                 tables[i % len(graphs)].append(pair_intervals(g, IntervalKind.WEAKLY_TOLL))
+                # each thread reads the semi weakly toll pairs from its own
+                # start, so the threads race to sweep the same rows
+                pairs = list(itertools.combinations(range(g.n), 2))
+                swt = pair_intervals(g, IntervalKind.SEMI_WEAKLY_TOLL)
+                for pair in pairs[i % len(pairs):] + pairs[: i % len(pairs)]:
+                    swt[pair]
         except Exception as exc:  # reported below, from the main thread
             failures.append(exc)
 
@@ -407,6 +413,13 @@ def test_table_cache_shared_across_threads():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    # one table per graph and kind, whichever thread built it
+    # one table per graph and kind, whichever thread built it, and equal to
+    # a single-threaded fill
     for g, seen in zip(graphs, tables):
         assert seen and all(t is pair_intervals(g, IntervalKind.WEAKLY_TOLL) for t in seen)
+        alone = Graph(g.adjacency_masks())
+        wt, wt_alone = (pair_intervals(h, IntervalKind.WEAKLY_TOLL) for h in (g, alone))
+        assert wt and all(wt_alone[pair] == mask for pair, mask in wt.items())
+        # the threads read every semi weakly toll pair
+        swt = pair_intervals(g, IntervalKind.SEMI_WEAKLY_TOLL)
+        assert swt == pair_intervals(alone, IntervalKind.SEMI_WEAKLY_TOLL).filled()

@@ -28,6 +28,7 @@ from wtoll.intervals import (
     weakly_toll_interval,
 )
 from wtoll.oracle import ORACLE_KINDS, oracle_interval
+from wtoll.products import corona, lexicographic
 from wtoll.verify import connected_graphs
 
 CLAW = Graph.from_edge_list(4, [(1, 0), (1, 2), (1, 3)])
@@ -233,6 +234,44 @@ def test_engines_match_pairwise_reference_on_random_graphs():
         g = random_connected_graph(k, p, seed)
         pairs = [(u, v) for u in range(k) for v in range(k) if u != v]
         _engines_match_reference(g, rng.sample(pairs, 200))
+
+
+def _rows_match_bodies(graph, sources):
+    """Each source's semi weakly toll row equals the body for every target,
+    and the weakly toll and semi weakly toll tables of a fresh copy of the
+    graph, which read those rows, equal the bodies on every pair with an
+    end among the sources."""
+    adj, n = graph.adjacency_masks(), graph.n
+    wt_body = intervals._BODIES[IntervalKind.WEAKLY_TOLL]
+    swt_body = intervals._BODIES[IntervalKind.SEMI_WEAKLY_TOLL]
+    fresh = Graph(adj)
+    wt, swt = (
+        intervals.pair_intervals(fresh, kind).filled()
+        for kind in (IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL)
+    )
+    for u in sources:
+        row = intervals._semi_weakly_toll_row(adj, n, u)
+        assert row[u] == 1 << u
+        for v in range(n):
+            if v == u:
+                continue
+            assert row[v] == swt_body(adj, n, u, v), (graph.edges(), u, v)
+            pair = (min(u, v), max(u, v))
+            assert wt[pair] == wt_body(adj, n, u, v), (graph.edges(), u, v)
+            assert swt[pair] == row[v] | swt_body(adj, n, v, u), (graph.edges(), u, v)
+
+
+def test_rows_match_bodies():
+    for k in range(2, 7):
+        for g in connected_graphs(k):
+            _rows_match_bodies(g, range(k))
+    rng = random.Random(2100)
+    for i in range(4):
+        g, h = (random_connected_graph(rng.randint(3, 6), 0.5, 2100 + 2 * i + j) for j in (0, 1))
+        for product in (lexicographic(g, h).graph, corona(g, h).graph):
+            _rows_match_bodies(product, range(product.n))
+    _rows_match_bodies(random_connected_graph(100, 0.05, 2110), range(100))
+    _rows_match_bodies(random_connected_graph(200, 0.025, 2111), rng.sample(range(200), 12))
 
 
 # -- worked examples ---------------------------------------------------------
