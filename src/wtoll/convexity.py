@@ -2,23 +2,31 @@
 
 The exact searches try candidate sets by increasing cardinality, so the
 minimum and its lexicographically least witness come out deterministically.
-They read the lazily filled pair table and compute only what they need, in
-three stages:
+They read the lazily filled weakly toll pair table and compute only what
+they need, in three stages.  The table keeps the forced set F of stage 2
+once a search has computed it, so the stages run in one of two ways.
 
-1. Sets of two vertices, straight from the table, stopping at the first
-   success: ``wtn`` = 2 stops at the first pair whose interval is V, and
-   ``wth`` at the first pair whose hull is.  By the end of this stage every
-   pair is in the table, so the later stages read it without computing.
+With F unknown:
+
+1. Every set of two vertices, straight from the table, stopping at the
+   first success: ``wtn`` = 2 stops at the first pair whose interval is V,
+   and ``wth`` at the first pair whose hull is, having computed only the
+   pairs read so far.  By the end of this stage every pair is in the table.
 2. The forced set F: a vertex in no interval between two other vertices is
    extreme, V minus it is convex, so it lies in every interval set and
-   every hull set.
+   every hull set.  It is read off the filled table and stored on it.
 3. Sets of k >= max(3, |F|) vertices, each F plus a combination of the
    other vertices.  Among sets of equal size the lexicographic order
    depends only on the least element of their symmetric difference, so
    fixing F keeps the lexicographically least witness.
 
-A size k of the third stage that would try more than ``MAX_SEARCH_SUBSETS``
-sets is refused with :class:`InfeasibleSearchError` rather than left to run
+With F known, as for ``wth`` after ``wtn`` on the same graph, stage 2 is
+skipped and stage 1 is stage 3 at k = 2: it tries only the pairs that
+contain F, so none when |F| >= 3.  Every spanning set contains F, so the
+first spanning set among those containing F is the same witness.
+
+A size k >= 3 that would try more than ``MAX_SEARCH_SUBSETS`` sets is
+refused with :class:`InfeasibleSearchError` rather than left to run
 for hours.
 """
 
@@ -100,21 +108,26 @@ def _forced_mask(table: PairIntervals) -> int:
 
 def _least_set(table: PairIntervals, spans: Callable[[int], bool]) -> tuple[int, VertexSet]:
     """Least k with a k-set S for which ``spans(S)`` holds, and the
-    lexicographically least such S, in the three stages of the module
-    docstring; ``spans`` must fail on every set that leaves out a forced
-    vertex.  The table has n >= 2 vertices, so no single vertex spans: the
-    closure and the hull of one vertex are that vertex."""
-    n = table.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if spans(1 << u | 1 << v):
-                return 2, VertexSet(n, 1 << u | 1 << v)
-    forced = _forced_mask(table.filled())
+    lexicographically least such S, in the stages of the module docstring;
+    ``spans`` must fail on every set that leaves out a forced vertex.  The
+    table has n >= 2 vertices, so no single vertex spans: the closure and
+    the hull of one vertex are that vertex."""
+    n, forced, least = table.n, table.forced, 2
+    if forced is None:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if spans(1 << u | 1 << v):
+                    return 2, VertexSet(n, 1 << u | 1 << v)
+        # racing threads store equal masks
+        table.forced = forced = _forced_mask(table.filled())
+        least = 3
     free = [x for x in range(n) if not forced >> x & 1]
     fixed = n - len(free)
-    for k in range(max(3, fixed), n + 1):
+    for k in range(max(least, fixed), n + 1):
         count = math.comb(len(free), k - fixed)
-        if count > MAX_SEARCH_SUBSETS:
+        # the pair stage is never refused, so no repeated search refuses
+        # what its first run answered
+        if k > 2 and count > MAX_SEARCH_SUBSETS:
             raise InfeasibleSearchError(
                 f"exact search on {n} vertices with {fixed} forced would try {count} sets "
                 f"of size {k}, more than {MAX_SEARCH_SUBSETS}"

@@ -285,13 +285,19 @@ class PairIntervals(dict):
     is an ordinary dict lookup; a symmetric kind needs only the first order.
     Closures, hulls, convexity tests and the subset searches read nothing
     else, and compute only the pairs they read.
+
+    ``forced`` is the mask of the vertices in no interval between two other
+    vertices, ``None`` until a subset search of module ``convexity`` has
+    filled the table and read it off; later searches on the table start
+    from it.  Racing threads may both store it, and their masks are equal.
     """
 
-    __slots__ = ("n", "_symmetric", "ordered")
+    __slots__ = ("n", "_symmetric", "ordered", "forced")
 
     def __init__(self, n: int, kind: IntervalKind, ordered: Callable[[int, int], int]):
         super().__init__()
         self.n = n
+        self.forced: int | None = None
         self._symmetric = IntervalKind(kind) in SYMMETRIC_KINDS
         self.ordered = ordered
 
@@ -363,7 +369,13 @@ def closure_mask(table: PairIntervals, mask: int, full: int) -> int:
     """One closure step: ``mask`` plus ``table[u, v]`` for every two of its
     members, computing the pairs the table lacks.  Once the result reaches
     ``full``, the mask of every vertex, the remaining pairs are not read."""
-    members = list(_bits(mask))
+    # the lowest-bit loop is inlined: a closure step is the searches' inner loop
+    members = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        members.append(low.bit_length() - 1)
+        rest ^= low
     grown = mask
     for i, u in enumerate(members):
         for v in members[i + 1 :]:

@@ -320,6 +320,11 @@ def test_wtn_and_wth_equal_brute_force():
     for g in graphs:
         expected = _brute_force(g)
         assert (wtn(g), wth(g)) == expected, g.edges()
+        # on a fresh copy wth runs first, so it computes the forced set and
+        # wtn starts from the one wth stored
+        fresh = Graph(g.adjacency_masks())
+        assert wth(fresh) == expected[1], g.edges()
+        assert wtn(fresh) == expected[0], g.edges()
         beyond_two += expected[0][0] > 2
     assert beyond_two > 20  # the pruned third stage is exercised, not only pairs
 
@@ -357,6 +362,19 @@ def test_wth_after_wtn_reuses_the_table(monkeypatch):
     monkeypatch.setattr(Graph, "is_connected", lambda self: checks.append(self) or original(self))
     assert wth(bridge)[0] == 6
     assert calls == [] and checks == []
+
+
+def test_wth_after_wtn_starts_from_the_forced_set(monkeypatch):
+    bridge = two_clique_bridge(4)  # 9 vertices, wtn = wth = 6, six forced
+    value, witness = wtn(bridge)
+    assert value == 6 and pair_intervals(bridge, IntervalKind.WEAKLY_TOLL).forced == witness.mask
+    seeds = []
+    original = convexity._hull_mask
+    monkeypatch.setattr(
+        convexity, "_hull_mask", lambda table, seed, full: seeds.append(seed) or original(table, seed, full)
+    )
+    assert wth(bridge) == (6, witness)
+    assert seeds == [witness.mask]  # wth run first makes 37: one per pair, then F
 
 
 def test_exact_search_refuses_oversized_stages(monkeypatch):
