@@ -3,11 +3,12 @@
 Graphs come from files (graph6 or edge-list text, detected by content),
 from literal ``g6:...`` strings, or from generator shorthands such as
 ``path:4``, ``cycle:5``, ``complete:4``, ``star:3``, ``two-clique-bridge:3``,
-``tree:8:SEED`` and ``random:8:0.4:SEED``; a shorthand is refused before it
-builds anything when its vertex count exceeds 258047, the range of both file
-formats.  Products built in-session keep their coordinate labels, which show
-up in interval output and DOT exports.  All algorithmic work lives in the
-library modules; this file only parses arguments and prints.
+``tree:8:SEED`` and ``random:8:0.4:SEED``; a shorthand, or a product of
+loaded factors, is refused before it is built when its vertex count exceeds
+258047, the range of both file formats.  Products built in-session keep their
+coordinate labels, which show up in interval output and DOT exports.  All
+algorithmic work lives in the library modules; this file only parses
+arguments and prints.
 """
 
 from __future__ import annotations
@@ -97,12 +98,15 @@ def _build_product(name: str, g_spec: str, h_specs: list[str]) -> ProductGraph:
     if not g_spec or not h_specs:
         raise ValueError(f"{name} product needs --g and --h")
     kind = PRODUCT_ALIASES[name]
-    g = load_graph(g_spec)
-    if kind is ProductKind.GENERALIZED_CORONA:
-        return build(kind, g, [load_graph(spec) for spec in h_specs])
-    if len(h_specs) != 1:
+    if kind is not ProductKind.GENERALIZED_CORONA and len(h_specs) != 1:
         raise ValueError(f"{name} product takes exactly one --h factor")
-    return build(kind, g, load_graph(h_specs[0]))
+    g, hs = load_graph(g_spec), [load_graph(spec) for spec in h_specs]
+    # the product's vertex count is refused before the product is built
+    if kind is ProductKind.GENERALIZED_CORONA:
+        require_storable(g.n + sum(h.n for h in hs))
+        return build(kind, g, hs)
+    require_storable(g.n * (hs[0].n + (kind is ProductKind.CORONA)))
+    return build(kind, g, hs[0])
 
 
 def _resolve_input(args) -> Graph | ProductGraph:

@@ -20,20 +20,21 @@ one adjacency OR per kept vertex, through ``graphs.neighbourhood``.  Module
 ``oracle`` recomputes the same sets by direct walk enumeration, and the test
 suite keeps both in exact agreement over an exhaustive small-graph corpus.
 
-The semi weakly toll sweep, of G - N[u], depends on the source alone, so
-one sweep gives the row I_swt(u, v) of every target v.  The weakly toll
-interval of non-adjacent u, v is the intersection of the two semi weakly
-toll ones, I_wt(u, v) = I_swt(u, v) & I_swt(v, u).  With A = N(u) - N(v),
+The semi weakly toll sweep, of G - N[u], depends on the source alone, and
+I_swt(u, v) is read off it for any target v in O(#components) mask
+operations.  The weakly toll interval of non-adjacent u, v is the
+intersection of the two semi weakly toll ones,
+I_wt(u, v) = I_swt(u, v) & I_swt(v, u).  With A = N(u) - N(v),
 B = N(v) - N(u) and X = V - N[u] - N[v]: in G - N[u] the component of v is
 {v}, B and the X-components that border B, and its boundary is the common
 neighbours plus the A-hubs adjacent to B or to such a component, that is,
-the common neighbours and the A-hubs that qualify.  So I_swt(u, v) is u, v, those hubs,
-B, and the X-components that border B or one of those hubs; the same holds
-with u and v swapped.  The intersection keeps the common neighbours, the
-qualifying hubs of each side and the X-components that border one of these
-(a component that borders both A and B makes its boundary hubs qualify),
-which is the weakly toll interval.  An adjacent pair's weakly toll interval
-is just {u, v}.
+the common neighbours and the A-hubs that qualify.  So I_swt(u, v) is u, v,
+those hubs, B, and the X-components that border B or one of those hubs; the
+same holds with u and v swapped.  The intersection keeps the common
+neighbours, the qualifying hubs of each side and the X-components that
+border one of these (a component that borders both A and B makes its
+boundary hubs qualify), which is the weakly toll interval.  An adjacent
+pair's weakly toll interval is just {u, v}.
 
 Each public call checks its graph, whose connectivity is swept once and kept.
 ``interval``, which the five named engines call, checks one query and runs
@@ -41,8 +42,9 @@ the pair body; ``pair_intervals`` checks a graph for its table of all pairs,
 a dict that computes each pair on its first read; closures, hulls,
 convexity tests and the subset searches index it, and the graph keeps it,
 one table per kind.  The weakly toll and semi weakly toll tables read their
-pairs off semi weakly toll rows, so filling one costs a sweep per source and
-a mask operation per pair.  The engine bodies themselves never check.
+pairs off kept semi weakly toll sweeps, so filling one costs a sweep per
+source and O(#components) per read.  The engine bodies themselves never
+check.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ SYMMETRIC_KINDS = frozenset(
     {IntervalKind.WEAKLY_TOLL, IntervalKind.TOLL, IntervalKind.MONOPHONIC, IntervalKind.GEODESIC}
 )
 
-#: Kinds whose pair table reads semi weakly toll rows, not pair bodies.
-ROW_KINDS = frozenset({IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL})
+#: Kinds whose pair table reads kept semi weakly toll sweeps, not pair bodies.
+SWEEP_KINDS = frozenset({IntervalKind.WEAKLY_TOLL, IntervalKind.SEMI_WEAKLY_TOLL})
 
 
 # Each public engine below hands its query to ``interval``, which checks it
@@ -149,46 +151,29 @@ def semi_weakly_toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
 
 
 def _semi_weakly_toll(adj: tuple[int, ...], n: int, u: int, v: int) -> int:
-    comps = component_boundaries(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
+    return _semi_weakly_toll_read(adj, _semi_weakly_toll_sweep(adj, n, u), u, v)
+
+
+def _semi_weakly_toll_sweep(adj: tuple[int, ...], n: int, u: int) -> list[tuple[int, int]]:
+    """The components of G - N[u] with their boundaries, the part of a semi
+    weakly toll interval that depends on the source u alone."""
+    return component_boundaries(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
+
+
+def _semi_weakly_toll_read(adj: tuple[int, ...], comps: list[tuple[int, int]], u: int, v: int) -> int:
+    """I_swt(u, v) from ``comps``, the sweep of u."""
     if adj[u] >> v & 1:
         hubs = 1 << v
     else:
         # the first steps that reach v: the boundary of v's component
-        hubs = next(touch for comp, touch in comps if comp >> v & 1)
+        for comp, hubs in comps:
+            if comp >> v & 1:
+                break
     result = 1 << u | hubs
     for comp, touch in comps:
         if touch & hubs:
             result |= comp
     return result
-
-
-def _semi_weakly_toll_row(adj: tuple[int, ...], n: int, u: int) -> list[int]:
-    """I_swt(u, v) for every target v, indexed by v, from one sweep of
-    G - N[u]: a neighbour v of u gets {u, v} and every component whose
-    boundary holds v, and every v of a component with boundary T gets the
-    union of those entries over T."""
-    comps = component_boundaries(adj, (1 << n) - 1 & ~(adj[u] | 1 << u))
-    row = [0] * n
-    row[u] = 1 << u
-    for v in _bits(adj[u]):
-        row[v] = 1 << u | 1 << v
-    # the bit loops are inlined: this is the table's inner loop
-    for comp, touch in comps:
-        while touch:
-            low = touch & -touch
-            row[low.bit_length() - 1] |= comp
-            touch ^= low
-    for comp, touch in comps:
-        reach = 0
-        while touch:
-            low = touch & -touch
-            reach |= row[low.bit_length() - 1]
-            touch ^= low
-        while comp:
-            low = comp & -comp
-            row[low.bit_length() - 1] = reach
-            comp ^= low
-    return row
 
 
 def toll_interval(graph: Graph, u: int, v: int) -> VertexSet:
@@ -317,25 +302,25 @@ class PairIntervals(dict):
         return self
 
 
-def _from_rows(adj: tuple[int, ...], n: int, kind: IntervalKind) -> Callable[[int, int], int]:
+def _from_sweeps(adj: tuple[int, ...], n: int, kind: IntervalKind) -> Callable[[int, int], int]:
     """The ordered interval from u to v that the table of a kind in
-    ``ROW_KINDS`` reads off semi weakly toll rows, each row swept on its
-    first read and kept."""
-    sweep, rows = _semi_weakly_toll_row, [None] * n
+    ``SWEEP_KINDS`` reads off the semi weakly toll sweeps of its ends, each
+    swept on its first need and kept."""
+    read, sweeps = _semi_weakly_toll_read, [None] * n
 
-    def row(u: int) -> list[int]:
-        # read as ``rows[u] or row(u)``; racing threads may both sweep u,
-        # and their rows are equal
-        rows[u] = found = sweep(adj, n, u)
-        return found
+    def sweep(u: int) -> list[tuple[int, int]]:
+        # read as ``sweeps[u] or sweep(u)``, which redoes an empty sweep;
+        # racing threads may both sweep u, and their sweeps are equal
+        sweeps[u] = comps = _semi_weakly_toll_sweep(adj, n, u)
+        return comps
 
     if kind is IntervalKind.SEMI_WEAKLY_TOLL:
-        return lambda u, v: (rows[u] or row(u))[v]
+        return lambda u, v: read(adj, sweeps[u] or sweep(u), u, v)
 
     def weakly_toll(u: int, v: int) -> int:
         if adj[u] >> v & 1:
             return 1 << u | 1 << v
-        return (rows[u] or row(u))[v] & (rows[v] or row(v))[u]
+        return read(adj, sweeps[u] or sweep(u), u, v) & read(adj, sweeps[v] or sweep(v), v, u)
 
     return weakly_toll
 
@@ -347,19 +332,19 @@ def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) ->
     reuse the pairs computed so far and skip the check.  A disconnected
     graph raises on every call and never gets a table.
 
-    The semi weakly toll table reads a pair as row(u)[v] | row(v)[u], and
-    the weakly toll table as {u, v} for an adjacent pair and
-    row(u)[v] & row(v)[u] otherwise (see the module docstring), where
-    row(u) is ``_semi_weakly_toll_row`` of u, swept on the table's first
-    need of it and kept.  A filled table of either kind costs one sweep per
-    source and one mask operation per pair, where the bodies cost a sweep
-    per pair.  The other kinds run their pair bodies."""
+    The semi weakly toll table reads a pair as I_swt(u, v) | I_swt(v, u),
+    and the weakly toll table as {u, v} for an adjacent pair and
+    I_swt(u, v) & I_swt(v, u) otherwise (see the module docstring), each
+    I_swt(u, v) read off the sweep of u, swept on the table's first need
+    of it and kept.  A filled table of either kind costs one sweep per
+    source and O(#components) mask operations per pair, where the bodies
+    cost a sweep per pair.  The other kinds run their pair bodies."""
     kind = IntervalKind(kind)
     table = graph._derived.get(kind)
     if table is None:
         require_connected(graph, what or f"{kind.value.replace('-', ' ')} interval")
         adj, n, body = graph.adjacency_masks(), graph.n, _BODIES[kind]
-        ordered = _from_rows(adj, n, kind) if kind in ROW_KINDS else lambda u, v: body(adj, n, u, v)
+        ordered = _from_sweeps(adj, n, kind) if kind in SWEEP_KINDS else lambda u, v: body(adj, n, u, v)
         table = PairIntervals(n, kind, ordered)
         table = graph._derived.setdefault(kind, table)  # racing threads share the first
     return table

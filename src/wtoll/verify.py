@@ -378,10 +378,10 @@ def _factors(g: Graph, h: Graph) -> dict:
 def _oracle_rows(check_id: str, kind: IntervalKind):
     """Engine against the exact oracle, each graph checked once for all its
     pairs.  The engine is read through its unchecked body, looked up when
-    the check runs, and for a kind whose pair table reads semi weakly toll
-    rows also through the graph's own table, whose rows the later checks
-    on that graph then reuse; the failure payload gives the body's value,
-    or the table's when only it disagrees.  One pass over each pair's
+    the check runs, and for a kind whose pair table reads kept semi weakly
+    toll sweeps also through the graph's own table, whose sweeps the later
+    checks on that graph then reuse; the failure payload gives the body's
+    value, or the table's when only it disagrees.  One pass over each pair's
     witness lengths gives the oracle interval at 2n + budget_extra, which
     the engine must equal, and at 2n, which must agree with it (the
     claim's "stabilised").  The longest minimal witness, relative to 2n,
@@ -395,7 +395,7 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
         for descriptor, g in interval_corpus(spec):
             pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u < v or ordered and u != v]
             n, adj, body = g.n, g.adjacency_masks(), intervals._BODIES[kind]
-            table = pair_intervals(g, kind) if kind in intervals.ROW_KINDS else None
+            table = pair_intervals(g, kind) if kind in intervals.SWEEP_KINDS else None
             budget, limit = 2 * n + spec.budget_extra, 2 * n
             failure = None
             for (u, v), lengths in zip(pairs, witness_lengths(g, pairs, kind)):

@@ -164,6 +164,28 @@ def test_generator_counts_share_the_file_formats_range(capsys, monkeypatch):
             load_graph(spec)
 
 
+def test_products_share_the_file_formats_range(capsys, monkeypatch):
+    # the product's vertex count is refused before it is built: lex of two
+    # 600-vertex paths alone would allocate 360,000 vertices
+    def unreachable(*args):
+        raise AssertionError("product built")
+
+    monkeypatch.setattr(cli, "build", unreachable)
+    for argv, n in ((("--product", "lex", "--g", "path:600", "--h", "path:600"), 360000),
+                    (("--product", "strong", "--g", "path:600", "--h", "path:431"), 258600),
+                    (("--product", "corona", "--g", "path:600", "--h", "path:430"), 258600),
+                    (("--product", "gcorona", "--g", "path:2", *("--h", "path:600") * 431),
+                     258602)):
+        code, out, err = run_cli(capsys, "interval", *argv, "--u", "0", "--v", "1")
+        assert code == 1 and out == "" and err.startswith(f"error: {n} vertices: "), argv
+    # the largest counts in range reach the builder
+    for argv in (("--product", "cart", "--g", "path:600", "--h", "path:430"),
+                 ("--product", "corona", "--g", "path:599", "--h", "path:429"),
+                 ("--product", "gcorona", "--g", "path:47", *("--h", "path:600") * 430)):
+        with pytest.raises(AssertionError, match="product built"):
+            main(["interval", *argv, "--u", "0", "--v", "1"])
+
+
 def test_invariant_refuses_oversized_search(capsys, monkeypatch):
     from wtoll import convexity
 

@@ -331,7 +331,7 @@ def test_wtn_and_wth_equal_brute_force():
 
 def _count_pairs(monkeypatch) -> list[tuple[int, int]]:
     """Record every pair a pair table computes from now on, its first read
-    (``__missing__``), whether from an engine body or from rows; each
+    (``__missing__``), whether from an engine body or from kept sweeps; each
     test's graphs are fresh objects, so no table of theirs exists yet."""
     missing = intervals.PairIntervals.__missing__
     calls = []
@@ -411,7 +411,7 @@ def test_table_cache_shared_across_threads():
                 assert (wtn(g), wth(g)) == expected[i % len(graphs)], g.edges()
                 tables[i % len(graphs)].append(pair_intervals(g, IntervalKind.WEAKLY_TOLL))
                 # each thread reads the semi weakly toll pairs from its own
-                # start, so the threads race to sweep the same rows
+                # start, so the threads race to sweep the same sources
                 pairs = list(itertools.combinations(range(g.n), 2))
                 swt = pair_intervals(g, IntervalKind.SEMI_WEAKLY_TOLL)
                 for pair in pairs[i % len(pairs):] + pairs[: i % len(pairs)]:

@@ -470,13 +470,14 @@ def test_oracle_checks_read_the_engine_bodies(monkeypatch, check_id, kind, swapp
     ("swt-interval-oracle", "_weakly_toll"),
 ])
 def test_oracle_checks_read_the_table_rows(monkeypatch, check_id, swapped):
-    # the weakly toll and semi weakly toll tables read semi weakly toll
-    # rows, not the bodies: a wrong row function must show as mismatches.
-    # An uncached corpus gives fresh graphs, so no table built before the
-    # swap is read, and none built with it is kept.
+    # the weakly toll and semi weakly toll tables read kept semi weakly
+    # toll sweeps, not the bodies: a wrong table path must show as
+    # mismatches while the bodies stay right.  An uncached corpus gives
+    # fresh graphs, so no table built before the swap is read, and none
+    # built with it is kept.
     monkeypatch.setattr(verify, "interval_corpus", verify.interval_corpus.__wrapped__)
     body = getattr(intervals, swapped)
-    monkeypatch.setattr(intervals, "_semi_weakly_toll_row",
-                        lambda adj, n, u: [body(adj, n, u, v) if v != u else 1 << u for v in range(n)])
+    monkeypatch.setattr(intervals, "_from_sweeps",
+                        lambda adj, n, kind: lambda u, v: body(adj, n, u, v))
     statuses = [v.status for v in run_check(check_id, TINY)]
     assert "mismatch" in statuses, check_id
