@@ -535,17 +535,22 @@ def require_storable(n: int) -> None:
         raise ValueError(f"{n} vertices: edge lists, like graph6, hold at most {_G6_MAX_N}")
 
 
+def _int_pair(row: list[str], what: str) -> tuple[int, int]:
+    """The two integers of one edge-list line, or an error naming the line."""
+    try:
+        a, b = (int(tok) for tok in row)
+    except ValueError:
+        raise ValueError(f"malformed {what} line {' '.join(row)!r}: "
+                         "expected two integers") from None
+    return a, b
+
+
 def parse_edge_list(text: str) -> Graph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    if not rows:
         raise ValueError("edge-list text must start with a 'n m' line")
-    n, m = (int(tok) for tok in rows[0])
+    n, m = _int_pair(rows[0], "header")
     require_storable(n)
     if len(rows) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"malformed edge line {' '.join(row)!r}")
-        edges.append((int(row[0]), int(row[1])))
-    return Graph.from_edge_list(n, edges)
+    return Graph.from_edge_list(n, [_int_pair(row, "edge") for row in rows[1:]])

@@ -37,6 +37,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _bits,
+    component_boundaries,
     encode_graph6,
     path_graph,
     random_connected_graph,
@@ -123,6 +124,8 @@ class CorpusSpec:
             key, _, text = (part.strip() for part in line.partition("="))
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"config key {key!r} given twice")
             default = defaults[key]
             try:
                 if isinstance(default, tuple):
@@ -232,8 +235,11 @@ def _canonical_edges(adj: list[int]) -> tuple[tuple[int, int], ...]:
     labels after a, is greatest with x's neighbours first in every cell, so
     each cell is split that way.  Only the vertices with the greatest row
     are tried, and a branch whose rows fall behind the best complete
-    labelling is dropped.  The answer is that of trying all n!
-    relabellings, which the tests keep as the reference.
+    labelling is dropped.  Of tied twins, x and y with the same neighbours
+    besides each other, only the first is tried: swapping them is an
+    automorphism fixing every labelled vertex, so their subtrees agree.  The
+    answer is that of trying all n! relabellings, which the tests keep
+    as the reference.
     """
     best_rows, best_order = None, ()
 
@@ -254,8 +260,10 @@ def _canonical_edges(adj: list[int]) -> tuple[tuple[int, int], ...]:
                 row = row << size | ((1 << near) - 1) << (size - near)
             options.append((row, x, tail))
         top = max(row for row, _, _ in options)
+        tried = []
         for row, x, tail in options:
-            if row == top:
+            if row == top and not any(adj[x] & ~(1 << y) == adj[y] & ~(1 << x) for y in tried):
+                tried.append(x)
                 split = [part for cell in tail for part in (cell & adj[x], cell & ~adj[x]) if part]
                 search(split, rows + (row,), order + (x,))
 
@@ -265,45 +273,15 @@ def _canonical_edges(adj: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(edge), max(edge)) for edge in edges))
 
 
-def _vertex_labels(adj: list[int]) -> list[tuple]:
-    """Each vertex's degree and sorted neighbour degrees, an isomorphism
-    invariant: an isomorphism maps every vertex to one with the same label."""
-    degree = [mask.bit_count() for mask in adj]
-    return [(degree[v], tuple(sorted(degree[w] for w in _bits(adj[v])))) for v in range(len(adj))]
-
-
-def _isomorphic(adj_a: list[int], labels_a: list, adj_b: list[int], labels_b: list) -> bool:
-    """Whether a label-preserving bijection maps the edges of a onto those
-    of b; vertices of a are placed in order, each only on a free vertex of b
-    with its label whose adjacency to the placed ones agrees."""
-    n = len(adj_a)
-    image = [0] * n
-
-    def place(x: int, placed: int, used: int) -> bool:
-        if x == n:
-            return True
-        want = 0
-        for p in _bits(adj_a[x] & placed):
-            want |= 1 << image[p]
-        for y in range(n):
-            if not used >> y & 1 and labels_b[y] == labels_a[x] and adj_b[y] & used == want:
-                image[x] = y
-                if place(x + 1, placed | 1 << x, used | 1 << y):
-                    return True
-        return False
-
-    return place(0, 0, 0)
-
-
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class.
 
     Grown by attaching a new vertex to every nonempty subset of each smaller
-    graph (every connected graph has a removable non-cut vertex, so nothing
-    is missed).  Candidates are bucketed by edge count and vertex labels and
-    tested for isomorphism against the classes already kept in their
-    bucket; each new class is stored under its canonical form, the
-    lexicographically least relabelled edge list.
+    graph.  A candidate is kept only when no non-cut vertex has a smaller
+    degree than the new one; nothing is missed, since removing a non-cut
+    vertex of least degree among the non-cut vertices leaves a smaller
+    connected graph.  Each class is stored once under its canonical form,
+    the lexicographically least relabelled edge list.
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
@@ -319,20 +297,16 @@ def _class_edges(n: int) -> list[tuple[tuple[int, int], ...]]:
     """The canonical edge lists behind ``connected_graphs(n)``, in order."""
     if n == 1:
         return [()]
-    seen = []
-    kept: dict[tuple, list[tuple[list[int], list]]] = {}
+    seen = set()
+    full = (1 << n) - 1
     for smaller in connected_graphs(n - 1):
         for bits in range(1, 1 << (n - 1)):
             adj = [*smaller.adjacency_masks(), bits]
             for v in _bits(bits):
                 adj[v] |= 1 << (n - 1)
-            labels = _vertex_labels(adj)
-            key = (smaller.edge_count + bits.bit_count(), *sorted(labels))
-            bucket = kept.setdefault(key, [])
-            if any(_isomorphic(adj, labels, *other) for other in bucket):
-                continue
-            bucket.append((adj, labels))
-            seen.append(_canonical_edges(adj))
+            lower = [w for w in range(n - 1) if adj[w].bit_count() < bits.bit_count()]
+            if not any(len(component_boundaries(adj, full & ~(1 << w))) == 1 for w in lower):
+                seen.add(_canonical_edges(adj))
     return sorted(seen, key=lambda e: (len(e), e))
 
 

@@ -345,6 +345,11 @@ def test_edge_list_text_format():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_edge_list("")
+    # a token that is not an integer is refused with its line, not by int()
+    for text, line in [("3 1\n0 x\n", "edge line '0 x'"), ("3 1\n0 1.5\n", "edge line '0 1.5'"),
+                       ("3 x\n", "header line '3 x'"), ("3 1\n0 1 2\n", "edge line '0 1 2'")]:
+        with pytest.raises(ValueError, match=f"^malformed {line}: expected two integers$"):
+            parse_edge_list(text)
 
 
 def test_edge_list_header_shares_the_graph6_range():

@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded_random_graphs, walks_within
-from wtoll.graphs import complete_graph, cycle_graph, encode_graph6, path_graph, two_clique_bridge
+from wtoll.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    encode_graph6,
+    path_graph,
+    star_graph,
+    two_clique_bridge,
+)
 from wtoll.intervals import IntervalKind
 from wtoll import intervals, verify
 from wtoll.oracle import witness_lengths
@@ -107,6 +115,12 @@ def test_connected_graphs_equal_brute_force_reference():
     listing = "\n".join(encode_graph6(g) for g in connected_graphs(6))
     digest = hashlib.sha256(listing.encode()).hexdigest()
     assert digest == "b58589a39cf4662f74ed6bb7318a3915fcaa58b17b6780c194198475f08f00d9"
+    # beyond the n! reference's reach: the least-degree parent rule at n = 7
+    classes = [Graph.from_edge_list(7, edges) for edges in verify._class_edges(7)]
+    assert len(classes) == 853
+    listing = "\n".join(encode_graph6(g) for g in classes)
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    assert digest == "96974434cb79128b76f6910becf3d3875bb9d06efe7bfd80eaf03c5dd93144ec"
 
 
 def test_canonical_edges_equal_brute_force():
@@ -115,7 +129,11 @@ def test_canonical_edges_equal_brute_force():
         pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
             graphs.append((n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
-    symmetric = [complete_graph(6), cycle_graph(6), cycle_graph(7)]
+    k33 = Graph.from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    k222 = Graph.from_edge_list(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3])
+    triangles = Graph.from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    symmetric = [complete_graph(6), cycle_graph(6), cycle_graph(7), k33, k222, star_graph(5),
+                 triangles, two_clique_bridge(3)]
     for g in symmetric + seeded_random_graphs(12, sizes=(6, 6, 7), base_seed=5150):
         graphs.append((g.n, g.edges()))
     for n, edges in graphs:
@@ -344,7 +362,8 @@ def test_spec_from_file(tmp_path):
     bad.write_text("nonsense = 3\n")
     with pytest.raises(ValueError):
         CorpusSpec.from_file(bad)
-    for text in ("lex_pair_count = 2.5\n", "edge_probabilities = 0.3, x\n"):
+    for text in ("lex_pair_count = 2.5\n", "edge_probabilities = 0.3, x\n",
+                 "seed = 5\nseed = 6\n"):
         bad.write_text(text)
         key = text.split()[0]
         with pytest.raises(ValueError, match=key):
