@@ -88,7 +88,8 @@ def load_graph(source: str) -> Graph:
         raise ValueError(f"no such file or generator spec: {source!r}")
     text = path.read_text()
     first = text.strip().splitlines()[0].split() if text.strip() else []
-    if len(first) == 2 and all(tok.isdigit() for tok in first):
+    # a graph6 record is one token of bytes 63..126, never a digit or '-'
+    if len(first) > 1 or first and first[0][0] in "-0123456789":
         return parse_edge_list(text)
     return parse_graph6(text)
 

@@ -2,16 +2,16 @@
 
 The exact searches try candidate sets by increasing cardinality, so the
 minimum and its lexicographically least witness come out deterministically.
-They read the lazily filled weakly toll pair table and compute only what
-they need, in three stages.  The table keeps the forced set F of stage 2
-once a search has computed it, so the stages run in one of two ways.
+They read the lazily filled weakly toll pair table, compute only what they
+need, and test a candidate S once, on its closure step I[S]: ``wtn`` asks
+whether I[S] is V, and ``wth`` whether the hull of I[S], which is that of S,
+is V.  The three stages run in one of two ways, as the table keeps the
+forced set F of stage 2 once a search has computed it.  With F unknown:
 
-With F unknown:
-
-1. Every set of two vertices, straight from the table, stopping at the
-   first success: ``wtn`` = 2 stops at the first pair whose interval is V,
-   and ``wth`` at the first pair whose hull is, having computed only the
-   pairs read so far.  By the end of this stage every pair is in the table.
+1. Every set of two vertices, stopping at the first success.  Every
+   interval holds its ends, so I[{u, v}] is the table entry: ``wtn`` = 2
+   stops at the first pair whose entry is V and ``wth`` at the first whose
+   hull is, having computed only the pairs read.  Else all are computed.
 2. The forced set F: a vertex in no interval between two other vertices is
    extreme, V minus it is convex, so it lies in every interval set and
    every hull set.  It is read off the filled table and stored on it.
@@ -107,16 +107,16 @@ def _forced_mask(table: PairIntervals) -> int:
 
 
 def _least_set(table: PairIntervals, spans: Callable[[int], bool]) -> tuple[int, VertexSet]:
-    """Least k with a k-set S for which ``spans(S)`` holds, and the
+    """Least k with a k-set S for which ``spans(I[S])`` holds, and the
     lexicographically least such S, in the stages of the module docstring;
-    ``spans`` must fail on every set that leaves out a forced vertex.  The
-    table has n >= 2 vertices, so no single vertex spans: the closure and
-    the hull of one vertex are that vertex."""
-    n, forced, least = table.n, table.forced, 2
+    ``spans`` takes the closure step I[S] and must fail on that of every set
+    that leaves out a forced vertex.  The table has n >= 2 vertices, so no
+    single vertex spans: the closure and the hull of one vertex are that vertex."""
+    n, forced, least, full = table.n, table.forced, 2, (1 << table.n) - 1
     if forced is None:
         for u in range(n):
             for v in range(u + 1, n):
-                if spans(1 << u | 1 << v):
+                if spans(table[u, v]):
                     return 2, VertexSet(n, 1 << u | 1 << v)
         # racing threads store equal masks
         table.forced = forced = _forced_mask(table.filled())
@@ -136,7 +136,7 @@ def _least_set(table: PairIntervals, spans: Callable[[int], bool]) -> tuple[int,
             seed = forced
             for x in combo:
                 seed |= 1 << x
-            if spans(seed):
+            if spans(closure_mask(table, seed, full)):
                 return k, VertexSet(n, seed)
     raise AssertionError("the full vertex set always spans itself")
 
@@ -147,7 +147,7 @@ def wtn(graph: Graph) -> tuple[int, VertexSet]:
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
     full = (1 << graph.n) - 1
-    return _least_set(table, lambda seed: closure_mask(table, seed, full) == full)
+    return _least_set(table, full.__eq__)
 
 
 def wth(graph: Graph) -> tuple[int, VertexSet]:
@@ -156,7 +156,7 @@ def wth(graph: Graph) -> tuple[int, VertexSet]:
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll hull number")
     require_non_trivial(graph, "weakly toll hull number")
     full = (1 << graph.n) - 1
-    return _least_set(table, lambda seed: _hull_mask(table, seed, full) == full)
+    return _least_set(table, lambda step: _hull_mask(table, step, full) == full)
 
 
 def _report(graph: Graph, u: int, v: int, inside: VertexSet) -> IntervalReport:

@@ -536,13 +536,17 @@ def require_storable(n: int) -> None:
 
 
 def _int_pair(row: list[str], what: str) -> tuple[int, int]:
-    """The two integers of one edge-list line, or an error naming the line."""
+    """The two integers of one edge-list line, or an error naming the line.
+    A token is ASCII decimal digits with an optional leading ``-``, so a
+    negative vertex is refused as out of range; ``int()`` alone would also
+    take ``1_0``, ``+1`` and non-ASCII digits."""
+    digits = [tok.removeprefix("-") for tok in row]
     try:
-        a, b = (int(tok) for tok in row)
-    except ValueError:
-        raise ValueError(f"malformed {what} line {' '.join(row)!r}: "
-                         "expected two integers") from None
-    return a, b
+        if len(row) == 2 and all(d.isascii() and d.isdigit() for d in digits):
+            return int(row[0]), int(row[1])
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"malformed {what} line {' '.join(row)!r}: expected two integers")
 
 
 def parse_edge_list(text: str) -> Graph:

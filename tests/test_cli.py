@@ -143,6 +143,22 @@ def test_cli_error_paths(capsys):
     assert code == 1 and "needs --g and --h" in err
 
 
+def test_malformed_edge_list_header_is_named(capsys, tmp_path):
+    # a first line of two tokens, or one starting with an ASCII digit or '-',
+    # is never a graph6 record, so the edge-list parser names it
+    source = tmp_path / "bad.txt"
+    for text, message in [
+        ("3 x\n", "malformed header line '3 x': expected two integers"),
+        ("3\n", "malformed header line '3': expected two integers"),
+        ("-3 1\n", "header announces 1 edges but 0 lines follow"),
+        ("\u0663 0\n", "malformed header line '\u0663 0': expected two integers"),
+        ("\u0663\n", "unsupported vertex count byte '\u0663'"),  # not an ASCII digit: graph6
+    ]:
+        source.write_text(text)
+        code, _, err = run_cli(capsys, "interval", "--graph", str(source), "--u", "0", "--v", "1")
+        assert (code, err) == (1, f"error: {message}\n"), text
+
+
 def test_generator_counts_share_the_file_formats_range(capsys, monkeypatch):
     # the guard must refuse before any builder runs: path:258048 alone
     # would allocate gigabytes of adjacency masks

@@ -367,14 +367,29 @@ def test_wth_after_wtn_reuses_the_table(monkeypatch):
 def test_wth_after_wtn_starts_from_the_forced_set(monkeypatch):
     bridge = two_clique_bridge(4)  # 9 vertices, wtn = wth = 6, six forced
     value, witness = wtn(bridge)
-    assert value == 6 and pair_intervals(bridge, IntervalKind.WEAKLY_TOLL).forced == witness.mask
+    bridge_table = pair_intervals(bridge, IntervalKind.WEAKLY_TOLL)
+    assert value == 6 and bridge_table.forced == witness.mask
     seeds = []
     original = convexity._hull_mask
     monkeypatch.setattr(
         convexity, "_hull_mask", lambda table, seed, full: seeds.append(seed) or original(table, seed, full)
     )
     assert wth(bridge) == (6, witness)
-    assert seeds == [witness.mask]  # wth run first makes 37: one per pair, then F
+    # one hull, started from F's closure step; wth run first makes 37: one per pair, then F
+    assert seeds == [intervals.closure_mask(bridge_table, witness.mask, (1 << bridge.n) - 1)]
+
+
+def test_pair_stage_makes_no_closure_step(monkeypatch):
+    steps = []
+    original = convexity.closure_mask
+    monkeypatch.setattr(
+        convexity, "closure_mask", lambda table, mask, full: steps.append(mask) or original(table, mask, full)
+    )
+    assert wtn(lexicographic(path_graph(4), path_graph(3)).graph)[0] == 2
+    assert steps == []  # each pair is its table entry
+    clique = complete_graph(6)  # no pair spans and all six are forced
+    assert wtn(clique) == (6, VertexSet.full(6))
+    assert steps == [VertexSet.full(6).mask]  # F itself
 
 
 def test_exact_search_refuses_oversized_stages(monkeypatch):

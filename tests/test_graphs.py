@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -350,6 +351,19 @@ def test_edge_list_text_format():
                        ("3 x\n", "header line '3 x'"), ("3 1\n0 1 2\n", "edge line '0 1 2'")]:
         with pytest.raises(ValueError, match=f"^malformed {line}: expected two integers$"):
             parse_edge_list(text)
+    # only ASCII decimal tokens with at most one leading '-'; int() takes the first four
+    for token in ("1_0", "+1", "\u0661", "1\u0660", "--1", "-"):
+        line = re.escape(f"edge line '0 {token}'")
+        with pytest.raises(ValueError, match=f"^malformed {line}: expected two integers$"):
+            parse_edge_list(f"3 1\n0 {token}\n")
+    with pytest.raises(ValueError, match="^malformed header line '\u0663 0': expected two integers$"):
+        parse_edge_list("\u0663 0\n")
+    with pytest.raises(ValueError, match="^malformed header line '1+ 0': expected two integers$"):
+        parse_edge_list("1" * 5000 + " 0\n")  # beyond int()'s digit limit
+    # a leading '-' is read, so a negative vertex is refused as out of range
+    with pytest.raises(ValueError, match="^vertex -1 out of range 0..2$"):
+        parse_edge_list("3 1\n0 -1\n")
+    assert parse_edge_list("3 2\n00 01\n1 2\n") == path_graph(3)
 
 
 def test_edge_list_header_shares_the_graph6_range():

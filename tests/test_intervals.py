@@ -18,6 +18,7 @@ from wtoll.graphs import (
 )
 from wtoll.intervals import (
     IntervalKind,
+    closure_mask,
     geodesic_interval,
     interval,
     interval_closure,
@@ -502,6 +503,20 @@ def test_closure_examples():
     assert interval_closure(cycle_graph(5), single, IntervalKind.WEAKLY_TOLL) == single
     full = VertexSet.full(5)
     assert interval_closure(cycle_graph(5), full, IntervalKind.WEAKLY_TOLL) == full
+
+
+def test_pair_closure_step_is_the_table_entry():
+    # every interval holds its two ends, so the subset searches read the
+    # closure step of a pair as its table entry
+    graphs = [g for k in range(2, 6) for g in connected_graphs(k)]
+    # sparse: the monophonic body takes seconds on a dense 30-vertex graph
+    for g in graphs + [random_connected_graph(30, 0.08, 2500)]:
+        full = (1 << g.n) - 1
+        for kind in IntervalKind:
+            table = intervals.pair_intervals(g, kind)
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert closure_mask(table, 1 << u | 1 << v, full) == table[u, v], (kind, g.edges(), u, v)
 
 
 def test_weakly_toll_sets():
