@@ -554,6 +554,8 @@ def parse_edge_list(text: str) -> Graph:
     if not rows:
         raise ValueError("edge-list text must start with a 'n m' line")
     n, m = _int_pair(rows[0], "header")
+    if n < 0 or m < 0:
+        raise ValueError(f"malformed header line {' '.join(rows[0])!r}: negative count")
     require_storable(n)
     if len(rows) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")

@@ -9,11 +9,13 @@ resuming the generator (so the corpus build counts in the first row that
 needs it), maps ``ok`` to a status and logs each check's start and finish
 to the ``wtoll.verify`` logger at INFO.
 
-The product checks are one table, ``_PRODUCT_CHECKS``, of suite, check id
-and rows: ``_interval_rows`` or ``_number_rows``, one per observed side,
-given a draw and, by name, the count field, the ``closed_forms`` rule and
-the ``products`` builder.  Names are looked up when a check runs, so a
-tracer that rebinds module attributes sees every call.
+Every check is one row of one table, ``_CHECK_TABLE``, of suite, check id
+and rows, in report order; one loop builds ``CHECKS`` and ``SUITES`` from
+it.  A product check's rows are ``_interval_rows`` or ``_number_rows``, one
+per observed side, given a draw and, by name, the count field, the
+``closed_forms`` rule and the ``products`` builder.  Names are looked up
+when a check runs, so a tracer that rebinds module attributes sees every
+call.
 
 Identical specs (seeds included) produce byte-identical reports, and
 mismatches never abort a run.  Timings stay out of the reports; they are on
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import closed_forms, convexity, intervals, products
-from .convexity import hull, is_convex, wth, wtn
+from .convexity import hull, wth, wtn
 from .graphs import (
     Graph,
     VertexSet,
@@ -43,7 +45,7 @@ from .graphs import (
     random_connected_graph,
     two_clique_bridge,
 )
-from .intervals import IntervalKind, pair_intervals, weakly_toll_interval
+from .intervals import IntervalKind, closure_mask, pair_intervals, weakly_toll_interval
 from .oracle import witness_lengths
 from .products import corona, generalized_corona
 
@@ -168,10 +170,7 @@ def _rng(spec: CorpusSpec, check_id: str) -> random.Random:
     return random.Random(spec.seed * 0x9E3779B1 + zlib.crc32(check_id.encode()))
 
 
-# -- the runner and the registry ----------------------------------------------
-
-CHECKS: dict = {}  # check id -> callable spec -> list[Verdict]
-SUITES: dict[str, list[str]] = {"all": []}
+# -- the runner --------------------------------------------------------------
 
 
 def _run(check_id: str, rows, spec: CorpusSpec) -> list[Verdict]:
@@ -190,21 +189,6 @@ def _run(check_id: str, rows, spec: CorpusSpec) -> list[Verdict]:
     elapsed = time.perf_counter() - began
     log.info("check %s: finish, %d verdicts in %.2fs", check_id, len(verdicts), elapsed)
     return verdicts
-
-
-def _check(suite: str, check_id: str):
-    """Register a rows generator under ``check_id`` in ``suite`` and "all"."""
-
-    def register(rows):
-        def run(spec: CorpusSpec) -> list[Verdict]:
-            return _run(check_id, rows, spec)
-
-        CHECKS[check_id] = run
-        SUITES["all"].append(check_id)
-        SUITES.setdefault(suite, []).append(check_id)
-        return rows
-
-    return register
 
 
 def _compare(instance: dict, prediction, observe, note: str = "") -> tuple:
@@ -399,14 +383,6 @@ def _oracle_rows(check_id: str, kind: IntervalKind):
     return rows
 
 
-for _check_id, _kind in (
-    ("wt-interval-oracle", IntervalKind.WEAKLY_TOLL),
-    ("swt-interval-oracle", IntervalKind.SEMI_WEAKLY_TOLL),
-    ("toll-interval-oracle", IntervalKind.TOLL),
-):
-    _check("intervals", _check_id)(_oracle_rows(_check_id, _kind))
-
-
 # -- structural lemma checks on the corpus ----------------------------------
 
 
@@ -425,7 +401,6 @@ def _extension_failures(g: Graph):
                     yield {"pair": [u, v], "vertex": x, "interval": list(_bits(wt))}
 
 
-@_check("structure", "neighbor-extension")
 def _neighbor_extension(spec, rng):
     claim = "interval absorbs outside vertices touching its interior"
     for descriptor, g in interval_corpus(spec):
@@ -446,15 +421,6 @@ def _predicate_rows(predicate: str, claim: str):
             yield descriptor, claim, "holds" if holds else "violated", holds
 
     return rows
-
-
-for _check_id, _predicate, _claim in (
-    ("max-interval-decomposition", "check_max_interval_decomposition",
-     "outside of a maximum interval splits into the two missed neighbourhoods"),
-    ("wtn-exceeds-two-criterion", "check_wtn_exceeds_two_criterion",
-     "wtn > 2 iff every maximum pair misses a neighbour"),
-):
-    _check("structure", _check_id)(_predicate_rows(_predicate, _claim))
 
 
 # -- closed forms vs product engine ------------------------------------------
@@ -591,8 +557,89 @@ def _generalized_corona(spec, rng):
         yield _compare(instance, prediction, lambda: wtn(generalized_corona(g, copies).graph)[0])
 
 
-# suite, check id, rows; the rule and builder names are looked up per run
-_PRODUCT_CHECKS = (
+# -- convexity properties ----------------------------------------------------
+
+_CHAIN = (
+    IntervalKind.WEAKLY_TOLL,
+    IntervalKind.TOLL,
+    IntervalKind.MONOPHONIC,
+    IntervalKind.GEODESIC,
+)
+
+
+def _chain_failures(g: Graph):
+    # a set is convex exactly when its closure step adds nothing
+    full = (1 << g.n) - 1
+    tables = [pair_intervals(g, kind) for kind in _CHAIN]
+    flags = [[closure_mask(t, bits, full) == bits for bits in range(full + 1)] for t in tables]
+    for bits in range(full + 1):
+        for pos in range(len(_CHAIN) - 1):
+            if flags[pos][bits] and not flags[pos + 1][bits]:
+                yield {
+                    "subset": list(_bits(bits)),
+                    "convex_under": _CHAIN[pos].value,
+                    "not_convex_under": _CHAIN[pos + 1].value,
+                }
+
+
+def _convexity_chain(spec, rng):
+    claim = "weakly-toll => toll => monophonic => geodesic convexity"
+    for n in range(2, spec.convexity_chain_max_n + 1):
+        for g in connected_graphs(n):
+            failure = next(_chain_failures(g), None)
+            instance = {"graph6": encode_graph6(g), "subsets": 1 << g.n}
+            yield instance, claim, failure or "holds", not failure
+
+
+def _hull_axioms(spec, rng):
+    kinds = list(IntervalKind)
+    for counter in range(spec.hull_axiom_instances):
+        n = rng.randint(4, 8)
+        g = random_connected_graph(n, rng.choice((0.3, 0.5)), rng.randrange(1 << 30))
+        kind = kinds[counter % len(kinds)]
+        small = VertexSet.from_iterable(n, rng.sample(range(n), rng.randint(1, n - 1)))
+        extra = VertexSet.from_iterable(n, rng.sample(range(n), rng.randint(1, n - 1)))
+        big = small | extra
+        closed = hull(g, small, kind)
+        axioms = {
+            "extensive": small <= closed,
+            "idempotent": hull(g, closed, kind) == closed,
+            "monotone": closed <= hull(g, big, kind),
+        }
+        ok = all(axioms.values())
+        instance = {
+            "graph6": encode_graph6(g),
+            "kind": kind.value,
+            "seed_set": sorted(small),
+            "superset": sorted(big),
+        }
+        yield instance, "extensive, idempotent, monotone", "holds" if ok else axioms, ok
+
+
+def _wth_le_wtn(spec, rng):
+    for descriptor, g in interval_corpus(spec):
+        interval_number = wtn(g)[0]
+        hull_number = wth(g)[0]
+        predicted = f"wth <= wtn = {interval_number}"
+        yield descriptor, predicted, hull_number, hull_number <= interval_number
+
+
+# -- the check table ---------------------------------------------------------
+
+# suite, check id, rows, in report order; the engine, predicate, rule and
+# builder names are looked up per run
+_CHECK_TABLE = (
+    ("intervals", "wt-interval-oracle",
+     _oracle_rows("wt-interval-oracle", IntervalKind.WEAKLY_TOLL)),
+    ("intervals", "swt-interval-oracle",
+     _oracle_rows("swt-interval-oracle", IntervalKind.SEMI_WEAKLY_TOLL)),
+    ("intervals", "toll-interval-oracle", _oracle_rows("toll-interval-oracle", IntervalKind.TOLL)),
+    ("structure", "neighbor-extension", _neighbor_extension),
+    ("structure", "max-interval-decomposition", _predicate_rows(
+        "check_max_interval_decomposition",
+        "outside of a maximum interval splits into the two missed neighbourhoods")),
+    ("structure", "wtn-exceeds-two-criterion", _predicate_rows(
+        "check_wtn_exceeds_two_criterion", "wtn > 2 iff every maximum pair misses a neighbour")),
     ("lexicographic", "lex-same-layer-interval", _interval_rows(
         "lex_interval_instances", "lex_interval_same_layer", "lexicographic", _same_layer)),
     ("lexicographic", "lex-cross-layer-interval", _interval_rows(
@@ -619,78 +666,16 @@ _PRODUCT_CHECKS = (
      _number_rows("cartesian_pair_count", "cartesian_wtn", "cartesian", "wtn", _some_complete)),
     ("cartesian-strong", "strong-wtn-bound",
      _number_rows("strong_pair_count", "strong_wtn_bound", "strong", "wtn", _two_factors)),
+    ("convexity", "convexity-chain", _convexity_chain),
+    ("convexity", "hull-closure-axioms", _hull_axioms),
+    ("convexity", "wth-le-wtn", _wth_le_wtn),
 )
-for _suite, _check_id, _rows in _PRODUCT_CHECKS:
-    _check(_suite, _check_id)(_rows)
-
-
-# -- convexity properties ----------------------------------------------------
-
-_CHAIN = (
-    IntervalKind.WEAKLY_TOLL,
-    IntervalKind.TOLL,
-    IntervalKind.MONOPHONIC,
-    IntervalKind.GEODESIC,
-)
-
-
-def _chain_failures(g: Graph):
-    # kinds on the outside, so each kind's pair table is built once per graph
-    subsets = [VertexSet(g.n, bits) for bits in range(1 << g.n)]
-    flags = [[is_convex(g, subset, kind) for subset in subsets] for kind in _CHAIN]
-    for bits, subset in enumerate(subsets):
-        for pos in range(len(_CHAIN) - 1):
-            if flags[pos][bits] and not flags[pos + 1][bits]:
-                yield {
-                    "subset": sorted(subset),
-                    "convex_under": _CHAIN[pos].value,
-                    "not_convex_under": _CHAIN[pos + 1].value,
-                }
-
-
-@_check("convexity", "convexity-chain")
-def _convexity_chain(spec, rng):
-    claim = "weakly-toll => toll => monophonic => geodesic convexity"
-    for n in range(2, spec.convexity_chain_max_n + 1):
-        for g in connected_graphs(n):
-            failure = next(_chain_failures(g), None)
-            instance = {"graph6": encode_graph6(g), "subsets": 1 << g.n}
-            yield instance, claim, failure or "holds", not failure
-
-
-@_check("convexity", "hull-closure-axioms")
-def _hull_axioms(spec, rng):
-    kinds = list(IntervalKind)
-    for counter in range(spec.hull_axiom_instances):
-        n = rng.randint(4, 8)
-        g = random_connected_graph(n, rng.choice((0.3, 0.5)), rng.randrange(1 << 30))
-        kind = kinds[counter % len(kinds)]
-        small = VertexSet.from_iterable(n, rng.sample(range(n), rng.randint(1, n - 1)))
-        extra = VertexSet.from_iterable(n, rng.sample(range(n), rng.randint(1, n - 1)))
-        big = small | extra
-        closed = hull(g, small, kind)
-        axioms = {
-            "extensive": small <= closed,
-            "idempotent": hull(g, closed, kind) == closed,
-            "monotone": closed <= hull(g, big, kind),
-        }
-        ok = all(axioms.values())
-        instance = {
-            "graph6": encode_graph6(g),
-            "kind": kind.value,
-            "seed_set": sorted(small),
-            "superset": sorted(big),
-        }
-        yield instance, "extensive, idempotent, monotone", "holds" if ok else axioms, ok
-
-
-@_check("convexity", "wth-le-wtn")
-def _wth_le_wtn(spec, rng):
-    for descriptor, g in interval_corpus(spec):
-        interval_number = wtn(g)[0]
-        hull_number = wth(g)[0]
-        predicted = f"wth <= wtn = {interval_number}"
-        yield descriptor, predicted, hull_number, hull_number <= interval_number
+CHECKS: dict = {}  # check id -> callable spec -> list[Verdict]
+SUITES: dict[str, list[str]] = {"all": []}
+for _suite, _check_id, _rows in _CHECK_TABLE:
+    CHECKS[_check_id] = functools.partial(_run, _check_id, _rows)
+    SUITES["all"].append(_check_id)
+    SUITES.setdefault(_suite, []).append(_check_id)
 
 
 def run_check(check_id: str, spec: CorpusSpec | None = None) -> list[Verdict]:

@@ -150,7 +150,8 @@ def test_malformed_edge_list_header_is_named(capsys, tmp_path):
     for text, message in [
         ("3 x\n", "malformed header line '3 x': expected two integers"),
         ("3\n", "malformed header line '3': expected two integers"),
-        ("-3 1\n", "header announces 1 edges but 0 lines follow"),
+        ("-3 1\n", "malformed header line '-3 1': negative count"),
+        ("3 -1\n", "malformed header line '3 -1': negative count"),
         ("\u0663 0\n", "malformed header line '\u0663 0': expected two integers"),
         ("\u0663\n", "unsupported vertex count byte '\u0663'"),  # not an ASCII digit: graph6
     ]:

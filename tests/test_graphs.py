@@ -360,6 +360,12 @@ def test_edge_list_text_format():
         parse_edge_list("\u0663 0\n")
     with pytest.raises(ValueError, match="^malformed header line '1+ 0': expected two integers$"):
         parse_edge_list("1" * 5000 + " 0\n")  # beyond int()'s digit limit
+    # a negative count is refused with the header line, before anything is built
+    for text, line in [("-3 1\n0 1\n", "-3 1"), ("-3 0\n", "-3 0"), ("3 -1\n", "3 -1")]:
+        with pytest.raises(ValueError, match=f"^malformed header line '{line}': negative count$"):
+            parse_edge_list(text)
+    with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
+        parse_edge_list("0 0\n")
     # a leading '-' is read, so a negative vertex is refused as out of range
     with pytest.raises(ValueError, match="^vertex -1 out of range 0..2$"):
         parse_edge_list("3 1\n0 -1\n")

@@ -301,6 +301,14 @@ def test_relabelling_commutes_with_the_engines_and_tables():
             for u, v in pairs:
                 x, y = sorted((sigma[u], sigma[v]))
                 assert moved_table[x, y] == _image(table[min(u, v), max(u, v)], sigma), (n, kind, u, v)
+    # the product was relabelled last: hulls of its seeded non-adjacent pairs
+    far = [(u, v) for u, v in pairs if not product.adjacent(u, v)][:10]
+    assert len(far) == 10
+    for kind in kinds:
+        for u, v in far:
+            closed = hull(product, VertexSet.from_iterable(n, (u, v)), kind)
+            moved_hull = hull(moved, VertexSet.from_iterable(n, (sigma[u], sigma[v])), kind)
+            assert moved_hull.mask == _image(closed.mask, sigma), (kind, u, v)
     # the values only: a witness is the first spanning set in vertex order
     assert (wtn(moved)[0], wth(moved)[0]) == (wtn(product)[0], wth(product)[0])
 
