@@ -8,10 +8,14 @@ whether I[S] is V, and ``wth`` whether the hull of I[S], which is that of S,
 is V.  The three stages run in one of two ways, as the table keeps the
 forced set F of stage 2 once a search has computed it.  With F unknown:
 
-1. Every set of two vertices, stopping at the first success.  Every
-   interval holds its ends, so I[{u, v}] is the table entry: ``wtn`` = 2
-   stops at the first pair whose entry is V and ``wth`` at the first whose
-   hull is, having computed only the pairs read.  Else all are computed.
+1. Sets of two vertices, stopping at the first success.  Every interval
+   holds its ends, so I[{u, v}] is the table entry.  ``wth`` tries every
+   pair and stops at the first whose hull is V.  ``wtn`` tries only the
+   pairs {u, v} with v among the table's spanning targets of u, read off
+   u's kept sweep, since no other entry can be V (see
+   ``intervals.pair_intervals``), so the first pair whose entry is V is
+   the same.  Either computes only the pairs it tries; else all are
+   computed.
 2. The forced set F: a vertex in no interval between two other vertices is
    extreme, V minus it is convex, so it lies in every interval set and
    every hull set.  It is read off the filled table and stored on it.
@@ -106,18 +110,26 @@ def _forced_mask(table: PairIntervals) -> int:
     return (1 << table.n) - 1 & ~inner
 
 
-def _least_set(table: PairIntervals, spans: Callable[[int], bool]) -> tuple[int, VertexSet]:
+def _least_set(
+    table: PairIntervals, spans: Callable[[int], bool], targets: Callable[[int], int] | None = None
+) -> tuple[int, VertexSet]:
     """Least k with a k-set S for which ``spans(I[S])`` holds, and the
     lexicographically least such S, in the stages of the module docstring;
     ``spans`` takes the closure step I[S] and must fail on that of every set
-    that leaves out a forced vertex.  The table has n >= 2 vertices, so no
-    single vertex spans: the closure and the hull of one vertex are that vertex."""
+    that leaves out a forced vertex.  ``targets(u)``, when given, is a mask
+    of every v for which ``spans(table[u, v])`` can hold, and stage 1 tries
+    only the v in it above u; else it tries every v.  The table has n >= 2
+    vertices, so no single vertex spans: the closure and the hull of one
+    vertex are that vertex."""
     n, forced, least, full = table.n, table.forced, 2, (1 << table.n) - 1
     if forced is None:
         for u in range(n):
-            for v in range(u + 1, n):
-                if spans(table[u, v]):
-                    return 2, VertexSet(n, 1 << u | 1 << v)
+            rest = (full if targets is None else targets(u)) >> u + 1 << u + 1
+            while rest:
+                low = rest & -rest
+                if spans(table[u, low.bit_length() - 1]):
+                    return 2, VertexSet(n, 1 << u | low)
+                rest ^= low
         # racing threads store equal masks
         table.forced = forced = _forced_mask(table.filled())
         least = 3
@@ -147,7 +159,7 @@ def wtn(graph: Graph) -> tuple[int, VertexSet]:
     table = pair_intervals(graph, IntervalKind.WEAKLY_TOLL, "weakly toll number")
     require_non_trivial(graph, "weakly toll number")
     full = (1 << graph.n) - 1
-    return _least_set(table, full.__eq__)
+    return _least_set(table, full.__eq__, table.targets)
 
 
 def wth(graph: Graph) -> tuple[int, VertexSet]:

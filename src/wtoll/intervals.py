@@ -36,6 +36,15 @@ border one of these (a component that borders both A and B makes its
 boundary hubs qualify), which is the weakly toll interval.  An adjacent
 pair's weakly toll interval is just {u, v}.
 
+The sweep of u also names the targets v whose weakly toll interval with u
+can be V.  I_swt(u, v) meets N(u) in the boundary of v's component of
+G - N[u], so it holds N(u) only when that boundary is all of N(u), and
+then it is V, as in a connected graph every component of G - N[u] borders
+N(u).  So for n >= 3 the weakly toll interval of u, v is V exactly when v
+lies in a component of G - N[u] whose boundary is N(u) and u in a
+component of G - N[v] whose boundary is N(v): an adjacent pair's {u, v}
+is V only in K2.
+
 Each public call checks its graph, whose connectivity is swept once and kept.
 ``interval``, which the five named engines call, checks one query and runs
 the pair body; ``pair_intervals`` checks a graph for its table of all pairs,
@@ -43,8 +52,9 @@ a dict that computes each pair on its first read; closures, hulls,
 convexity tests and the subset searches index it, and the graph keeps it,
 one table per kind.  The weakly toll and semi weakly toll tables read their
 pairs off kept semi weakly toll sweeps, so filling one costs a sweep per
-source and O(#components) per read.  The engine bodies themselves never
-check.
+source and O(#components) per read, and the weakly toll table reads each
+source's spanning targets off the same sweeps.  The engine bodies
+themselves never check.
 """
 
 from __future__ import annotations
@@ -275,9 +285,12 @@ class PairIntervals(dict):
     vertices, ``None`` until a subset search of module ``convexity`` has
     filled the table and read it off; later searches on the table start
     from it.  Racing threads may both store it, and their masks are equal.
+
+    ``targets`` is ``ordered.targets`` when ``ordered`` has one, as the
+    weakly toll table's has, and ``None`` else; see ``pair_intervals``.
     """
 
-    __slots__ = ("n", "_symmetric", "ordered", "forced")
+    __slots__ = ("n", "_symmetric", "ordered", "forced", "targets")
 
     def __init__(self, n: int, kind: IntervalKind, ordered: Callable[[int, int], int]):
         super().__init__()
@@ -285,6 +298,7 @@ class PairIntervals(dict):
         self.forced: int | None = None
         self._symmetric = IntervalKind(kind) in SYMMETRIC_KINDS
         self.ordered = ordered
+        self.targets: Callable[[int], int] | None = getattr(ordered, "targets", None)
 
     def __missing__(self, pair: tuple[int, int]) -> int:
         u, v = pair
@@ -305,7 +319,8 @@ class PairIntervals(dict):
 def _from_sweeps(adj: tuple[int, ...], n: int, kind: IntervalKind) -> Callable[[int, int], int]:
     """The ordered interval from u to v that the table of a kind in
     ``SWEEP_KINDS`` reads off the semi weakly toll sweeps of its ends, each
-    swept on its first need and kept."""
+    swept on its first need and kept.  The weakly toll one carries
+    ``targets``, the spanning targets of a source read off its sweep."""
     read, sweeps = _semi_weakly_toll_read, [None] * n
 
     def sweep(u: int) -> list[tuple[int, int]]:
@@ -322,6 +337,16 @@ def _from_sweeps(adj: tuple[int, ...], n: int, kind: IntervalKind) -> Callable[[
             return 1 << u | 1 << v
         return read(adj, sweeps[u] or sweep(u), u, v) & read(adj, sweeps[v] or sweep(v), v, u)
 
+    def targets(u: int) -> int:
+        if n == 2:
+            return 1 << (1 - u)  # K2: the one pair is adjacent and {u, v} is V
+        nu, spanning = adj[u], 0
+        for comp, touch in sweeps[u] or sweep(u):
+            if touch == nu:
+                spanning |= comp
+        return spanning
+
+    weakly_toll.targets = targets
     return weakly_toll
 
 
@@ -338,7 +363,15 @@ def pair_intervals(graph: Graph, kind: IntervalKind, what: str | None = None) ->
     I_swt(u, v) read off the sweep of u, swept on the table's first need
     of it and kept.  A filled table of either kind costs one sweep per
     source and O(#components) mask operations per pair, where the bodies
-    cost a sweep per pair.  The other kinds run their pair bodies."""
+    cost a sweep per pair.  The other kinds run their pair bodies.
+
+    The weakly toll table's ``targets(u)`` is the mask of the other vertex
+    in K2, and else the union of the components of u's kept sweep whose
+    boundary is all of N(u), read in O(#components) on each call and
+    stored nowhere.  An entry (u, v) is V exactly when v is in
+    ``targets(u)`` and u in ``targets(v)``: I_swt(u, v) holds N(u) only
+    when the boundary of v's component is N(u), and is then V (see the
+    module docstring).  The other tables have ``targets`` ``None``."""
     kind = IntervalKind(kind)
     table = graph._derived.get(kind)
     if table is None:

@@ -741,7 +741,10 @@ def summarize(verdicts: list[Verdict]) -> Summary:
 
 
 def write_jsonl(verdicts: list[Verdict], path: str | Path) -> None:
-    Path(path).write_text("".join(v.to_json() + "\n" for v in verdicts))
+    # one line at a time: the default report is over a megabyte as one string
+    with Path(path).open("w") as fh:
+        for verdict in verdicts:
+            fh.write(verdict.to_json() + "\n")
 
 
 def write_csv(summary: Summary, path: str | Path) -> None:

@@ -37,7 +37,7 @@ from wtoll.intervals import (
     semi_weakly_toll_interval,
 )
 from wtoll.oracle import oracle_interval
-from wtoll.products import cartesian, lexicographic
+from wtoll.products import cartesian, corona, lexicographic
 from wtoll.verify import connected_graphs
 
 CLAW = Graph.from_edge_list(4, [(1, 0), (1, 2), (1, 3)])
@@ -349,6 +349,27 @@ def test_wtn_two_reads_few_pairs(monkeypatch):
     product = cartesian(path_graph(4), cycle_graph(5)).graph
     assert wtn(product)[0] == 2
     assert 0 < len(calls) <= product.n  # of n(n-1)/2 = 190 pairs
+
+
+def test_wtn_two_reads_only_spanning_targets(monkeypatch):
+    calls = _count_pairs(monkeypatch)
+    swept = []
+    sweep = intervals._semi_weakly_toll_sweep
+    monkeypatch.setattr(
+        intervals, "_semi_weakly_toll_sweep", lambda adj, n, u: swept.append(u) or sweep(adj, n, u)
+    )
+    crown = corona(random_connected_graph(5, 0.5, 2751), random_connected_graph(4, 0.5, 2841)).graph
+    assert wtn(crown) == (2, VertexSet.from_iterable(25, (7, 8)))
+    # the all-pairs loop computes 148 pairs before (7, 8) and sweeps all 25 sources
+    assert calls == [(7, 8)]
+    assert sorted(swept) == list(range(9))
+
+
+def test_k2_is_its_own_pair():
+    # the one pair of K2 is adjacent, and its entry {0, 1} is V
+    for first, second in ((wtn, wth), (wth, wtn)):
+        k2 = complete_graph(2)
+        assert first(k2) == second(k2) == (2, VertexSet.full(2))
 
 
 def test_wth_after_wtn_reuses_the_table(monkeypatch):

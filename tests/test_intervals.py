@@ -29,7 +29,7 @@ from wtoll.intervals import (
     weakly_toll_interval,
 )
 from wtoll.oracle import ORACLE_KINDS, oracle_interval
-from wtoll.products import corona, lexicographic
+from wtoll.products import cartesian, corona, lexicographic, strong
 from wtoll.verify import connected_graphs
 
 CLAW = Graph.from_edge_list(4, [(1, 0), (1, 2), (1, 3)])
@@ -311,6 +311,17 @@ def test_relabelling_commutes_with_the_engines_and_tables():
             assert moved_hull.mask == _image(closed.mask, sigma), (kind, u, v)
     # the values only: a witness is the first spanning set in vertex order
     assert (wtn(moved)[0], wth(moved)[0]) == (wtn(product)[0], wth(product)[0])
+    # wtn 2: the pair stage tries only the spanning targets, which move with
+    # their vertices
+    crown = corona(random_connected_graph(5, 0.5, 2751), random_connected_graph(4, 0.5, 2841)).graph
+    sigma = rng.sample(range(crown.n), crown.n)
+    moved = _relabelled(crown, sigma)
+    value, witness = wtn(moved)
+    assert value == wtn(crown)[0] == 2
+    assert is_weakly_toll_set(moved, witness)
+    table, moved_table = (intervals.pair_intervals(g, IntervalKind.WEAKLY_TOLL) for g in (crown, moved))
+    for u in range(crown.n):
+        assert moved_table.targets(sigma[u]) == _image(table.targets(u), sigma), u
 
 
 # -- worked examples ---------------------------------------------------------
@@ -525,6 +536,26 @@ def test_pair_closure_step_is_the_table_entry():
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert closure_mask(table, 1 << u | 1 << v, full) == table[u, v], (kind, g.edges(), u, v)
+
+
+def test_spanning_targets_match_the_filled_table():
+    # a weakly toll entry is V exactly when each end lies in a component of
+    # G - N[other end] whose boundary is all of that end's neighbourhood;
+    # K2's one pair is adjacent, and its entry {u, v} is V
+    graphs = [g for k in range(2, 7) for g in connected_graphs(k)]
+    graphs += seeded_random_graphs(40, sizes=(8, 12, 20, 30), base_seed=2700)
+    factors = seeded_random_graphs(6, sizes=(4, 5, 6), base_seed=2750)
+    graphs += [build(g, h).graph for build in (lexicographic, corona, strong, cartesian)
+               for g, h in zip(factors, factors[1:])]
+    spanning = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        table = intervals.pair_intervals(g, IntervalKind.WEAKLY_TOLL)
+        targets = [table.targets(u) for u in range(g.n)]
+        for (u, v), mask in table.filled().items():
+            assert (mask == full) == bool(targets[u] >> v & targets[v] >> u & 1), (g.edges(), u, v)
+            spanning += mask == full
+    assert spanning > 1000  # both outcomes are exercised, not only misses
 
 
 def test_weakly_toll_sets():
